@@ -23,7 +23,6 @@ from .errors import (
 )
 from .gbessel import (
     GBesselRow,
-    GBesselValue,
     bessel_j,
     gbessel,
     gbessel_quad,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "bessel_j", "gbessel", "gbessel_quad", "gbessel_row", "GBesselRow",
-    "GBesselValue",
     "FourVector", "LaserField", "DressedState", "Channel",
     "dress", "alpha_theta", "deflection_frame", "open_channel",
     "PotentialFT", "u_tilde",

@@ -73,7 +73,8 @@ def resolve_config(cfg, k_override=None):
 
     Returns (resolved_dict, Scenario, run_options).  The resolved dict is
     what gets embedded in output headers: photon energy in eV, field
-    strength as K, angles as given.
+    strength as K, angles as given.  K, zeta and the formula are checked
+    by LaserField and Scenario; their DomainError becomes a ConfigError.
     """
     _require(isinstance(cfg, dict), "config must be a JSON object")
     for section in ("laser", "electron", "potential", "geometry"):
@@ -99,10 +100,7 @@ def resolve_config(cfg, k_override=None):
          if has_i else float(laser_c["K"]))
     if k_override is not None:
         K = float(k_override)
-    _require(K >= 0.0, "laser: K must be >= 0")
-
     zeta = float(laser_c.get("zeta", 0.0))
-    _require(0.0 <= zeta <= 1.0, "laser: zeta must lie in [0, 1]")
 
     _require("kinetic_energy_eV" in elec_c, "electron: kinetic_energy_eV missing")
     ek = float(elec_c["kinetic_energy_eV"])
@@ -136,13 +134,6 @@ def resolve_config(cfg, k_override=None):
     azimuth_deg = float(geo_c.get("azimuth_deg", 0.0))
 
     formula = str(run_c.get("formula", "general"))
-    _require(formula in ("general", "circular", "linear", "nonrel", "oracle"),
-             f"run: unknown formula {formula!r}")
-    if formula == "circular":
-        _require(zeta == 1.0, "run: formula=circular requires zeta = 1")
-    if formula == "linear":
-        _require(zeta == 0.0, "run: formula=linear requires zeta = 0")
-
     tail_cut = float(run_c.get("tail_cut", TAIL_CUT_DEFAULT))
     _require(0.0 < tail_cut < 1.0, "run: tail_cut must lie in (0, 1)")
 
@@ -195,9 +186,20 @@ def _rows_csv(header, columns, rows):
     return "\n".join(lines) + "\n"
 
 
+def _px_entry(px):
+    """One channel keyed by the ENVELOPE_COLUMNS names, q2 in a.u."""
+    values = (px.n, px.value, px.alpha1,
+              units.momentum_ev_to_au(1.0) ** 2 * px.q2,
+              px.terms.main_energy, px.terms.recoil, px.terms.wave_pressure)
+    return dict(zip(ENVELOPE_COLUMNS.split(","), values))
+
+
 def _px_row(px):
-    return (px.n, px.value, px.alpha1, units.momentum_ev_to_au(1.0) ** 2 * px.q2,
-            px.terms.main_energy, px.terms.recoil, px.terms.wave_pressure)
+    return tuple(_px_entry(px).values())
+
+
+def _json_text(doc):
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def _emit(text, output_path):
@@ -216,20 +218,9 @@ def _envelope_payload(resolved, env, fmt, kind):
             "n_peak": env.n_peak,
             "alpha1_at_peak": env.alpha1_at_peak,
             "total_au": env.total,
-            "entries": [
-                {
-                    "n": px.n,
-                    "dsigma_au": px.value,
-                    "alpha1": px.alpha1,
-                    "q2_au": units.momentum_ev_to_au(1.0) ** 2 * px.q2,
-                    "term_main": px.terms.main_energy,
-                    "term_recoil": px.terms.recoil,
-                    "term_wave": px.terms.wave_pressure,
-                }
-                for px in env.entries
-            ],
+            "entries": [_px_entry(px) for px in env.entries],
         }
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        return _json_text(doc)
     rows = [_px_row(px) for px in env.entries]
     return _rows_csv(config_header(resolved, kind), ENVELOPE_COLUMNS, rows)
 
@@ -241,13 +232,8 @@ def cmd_partial(args):
     px = partial(scenario, int(n))
     fmt = args.format or run.get("output_format", "csv")
     if fmt == "json":
-        doc = {"config": resolved, "kind": "partial", "entry": {
-            "n": px.n, "dsigma_au": px.value, "alpha1": px.alpha1,
-            "q2_au": units.momentum_ev_to_au(1.0) ** 2 * px.q2,
-            "term_main": px.terms.main_energy,
-            "term_recoil": px.terms.recoil,
-            "term_wave": px.terms.wave_pressure}}
-        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        text = _json_text({"config": resolved, "kind": "partial",
+                           "entry": _px_entry(px)})
     else:
         text = _rows_csv(config_header(resolved, "partial"),
                          ENVELOPE_COLUMNS, [_px_row(px)])

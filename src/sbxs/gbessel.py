@@ -175,26 +175,6 @@ def gbessel(n, u, v, delta):
 
 
 @dataclass(frozen=True)
-class GBesselValue:
-    """One evaluation bundled with its arguments.
-
-    |value| <= 1 always (Fourier coefficient of a unimodular function) and
-    value is real at delta = 0.
-    """
-
-    value: complex
-    n: int
-    u: float
-    v: float
-    delta: float
-
-    @classmethod
-    def evaluate(cls, n, u, v, delta):
-        return cls(value=gbessel(n, u, v, delta), n=int(n), u=float(u),
-                   v=float(v), delta=float(delta))
-
-
-@dataclass(frozen=True)
 class GBesselRow:
     """Contiguous run of J_n(u, v, D) values over n_min..n_max."""
 

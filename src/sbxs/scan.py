@@ -1,13 +1,10 @@
 """Envelope sweeps over photon number, totals, and intensity sweeps.
 
-All reductions run in a fixed (ascending n / grid) order so results are
-bitwise reproducible regardless of the worker count.  SBX_THREADS caps the
-thread pool (0 or unset = auto); individual evaluations are pure.
+All reductions run in a fixed (ascending n / grid) order in one thread, so
+results are bitwise reproducible; individual evaluations are pure.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +21,6 @@ from .potential import PotentialFT
 from .xsection import (
     PartialXS,
     Scenario,
-    XSTerms,
     _nonrel_eval,
     partial_xs_circular,
     partial_xs_general,
@@ -33,28 +29,6 @@ from .xsection import (
 
 TAIL_CUT_DEFAULT = 1.0e-8
 MARGIN_FACTOR_DEFAULT = 10.0
-
-
-def thread_count():
-    """Worker cap from SBX_THREADS (0 or unset -> auto)."""
-    raw = os.environ.get("SBX_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"SBX_THREADS must be an integer, got {raw!r}")
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
-
-
-def _map_ordered(fn, items):
-    """Order-preserving map, threaded when allowed; results deterministic."""
-    items = list(items)
-    workers = min(thread_count(), max(len(items), 1))
-    if workers == 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def partial(scenario, n):
@@ -76,19 +50,11 @@ def partial(scenario, n):
             return partial_xs_general(scenario, n)
     if formula == "oracle":
         general = partial_xs_general(scenario, n)
-        value = xs_oracle(scenario, n)
-        return PartialXS(
-            n=n,
-            value=value,
-            terms=XSTerms(value, 0.0, 0.0),
-            alpha1=general.alpha1,
-            q2=general.q2,
-        )
+        return PartialXS.from_terms(n, general.alpha1, general.q2,
+                                    xs_oracle(scenario, n))
     # nonrel
     value, a1, q2 = _nonrel_eval(scenario, n)
-    return PartialXS(
-        n=n, value=value, terms=XSTerms(value, 0.0, 0.0), alpha1=a1, q2=q2
-    )
+    return PartialXS.from_terms(n, a1, q2, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,13 +171,14 @@ def k_sweep(scenario, k_grid):
     if sorted(k_grid) != k_grid:
         raise DomainError("k_grid must be sorted ascending")
 
-    def one(K):
+    points = []
+    for K in k_grid:
         try:
-            return KPoint(K=K, total=total_xs(scenario.with_K(K)))
+            points.append(KPoint(K=K, total=total_xs(scenario.with_K(K))))
         except (ChannelClosedError, ConvergenceError, DomainError) as exc:
-            return KPoint(K=K, total=math.nan, error=f"{type(exc).__name__}: {exc}")
-
-    return _map_ordered(one, k_grid)
+            points.append(KPoint(K=K, total=math.nan,
+                                 error=f"{type(exc).__name__}: {exc}"))
+    return points
 
 
 def random_scenarios(seed, count, potential=None, kinetic_energy=2700.0,
@@ -262,10 +229,7 @@ def oracle_deviation_sweep(seed=0, samples=200):
     scenarios = random_scenarios(seed, samples)
     rng = np.random.default_rng(seed + 1)
     records = []
-
-    def one(args):
-        idx, scenario = args
-        ds = scenario.dressed()
+    for idx, scenario in enumerate(scenarios):
         ch0 = partial_xs_general(scenario, 0)
         span = int(math.ceil(ch0.alpha1)) + 3
         floor = 1.0e-12 * ch0.value
@@ -280,12 +244,7 @@ def oracle_deviation_sweep(seed=0, samples=200):
             if scale <= floor:
                 continue
             rel = abs(general - oracle) / scale
-            return (idx, n, general, oracle, rel)
-        return None
-
-    # channel choice consumes the rng sequentially: keep it single-threaded
-    for item in map(one, enumerate(scenarios)):
-        if item is not None:
-            records.append(item)
+            records.append((idx, n, general, oracle, rel))
+            break
     max_dev = float(max((r[4] for r in records), default=0.0))
     return max_dev, records

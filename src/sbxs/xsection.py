@@ -124,6 +124,14 @@ class PartialXS:
     alpha1: float
     q2: float
 
+    @classmethod
+    def from_terms(cls, n, alpha1, q2, main, recoil=0.0, wave=0.0, pref=1.0):
+        """Channel with terms pref * (main, recoil, wave), summed in that
+        order; a bare value books the whole of it as the main term."""
+        terms = XSTerms(pref * main, pref * recoil, pref * wave)
+        value = terms.main_energy + terms.recoil + terms.wave_pressure
+        return cls(n=n, value=value, terms=terms, alpha1=alpha1, q2=q2)
+
 
 def d_functions(channel, laser, dressed):
     """D_n, D_{1,n}(theta(p)), D_{2,n} and Dvec for one open channel."""
@@ -182,9 +190,7 @@ def partial_xs_general(scenario, n):
     )
 
     pref = _prefactor_au(scenario, dressed, channel)
-    terms = XSTerms(pref * main, pref * recoil, pref * wave)
-    value = terms.main_energy + terms.recoil + terms.wave_pressure
-    return PartialXS(n=n, value=value, terms=terms, alpha1=channel.alpha1, q2=q2)
+    return PartialXS.from_terms(n, channel.alpha1, q2, main, recoil, wave, pref)
 
 
 def partial_xs_circular(scenario, n):
@@ -204,8 +210,7 @@ def partial_xs_circular(scenario, n):
         if n != 0:
             # J_n(0) = 0 for n != 0 (the n = +-1 wave-pressure limit is a
             # measure-zero configuration; the general path covers it).
-            terms = XSTerms(0.0, 0.0, 0.0)
-            return PartialXS(n=n, value=0.0, terms=terms, alpha1=a1, q2=q2)
+            return PartialXS.from_terms(n, a1, q2, 0.0)
         jn, jpn, n_over_a1 = 1.0, 0.0, 0.0
     else:
         row = gbessel_row(n - 1, n + 1, a1, 0.0, 0.0)
@@ -224,9 +229,7 @@ def partial_xs_circular(scenario, n):
     recoil = -q2 * jn**2
     wave = beta2 * ((n_over_a1**2 - 1.0) * jn**2 + jpn**2)
 
-    terms = XSTerms(pref * main, pref * recoil, pref * wave)
-    value = terms.main_energy + terms.recoil + terms.wave_pressure
-    return PartialXS(n=n, value=value, terms=terms, alpha1=a1, q2=q2)
+    return PartialXS.from_terms(n, a1, q2, main, recoil, wave, pref)
 
 
 def partial_xs_linear(scenario, n):
@@ -277,9 +280,7 @@ def partial_xs_linear(scenario, n):
     )
 
     pref = _prefactor_au(scenario, dressed, channel)
-    terms = XSTerms(pref * main, pref * recoil, pref * wave)
-    value = terms.main_energy + terms.recoil + terms.wave_pressure
-    return PartialXS(n=n, value=value, terms=terms, alpha1=channel.alpha1, q2=q2)
+    return PartialXS.from_terms(n, channel.alpha1, q2, main, recoil, wave, pref)
 
 
 def elastic_born(scenario):

@@ -67,6 +67,11 @@ def test_wavelength_and_k_input(tmp_path):
         lambda c: c["potential"].pop("screening_radius_au"),
         lambda c: c["run"].update(formula="circular", __post=None) or
                   c["laser"].update(zeta=0.5),
+        # checked by Scenario / LaserField, reported as config errors
+        lambda c: c["run"].update(formula="linear"),          # zeta = 1
+        lambda c: c["run"].update(formula="bogus"),
+        lambda c: c["laser"].update(K=-0.1) or
+                  c["laser"].pop("intensity_W_cm2"),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):
@@ -195,16 +200,14 @@ def _artifact_bytes(tmp_path, cfg_path, argv, name):
     return out.read_bytes()
 
 
-def test_outputs_bitwise_reproducible(tmp_path, cfg_path, capsys, monkeypatch):
+def test_outputs_bitwise_reproducible(tmp_path, cfg_path, capsys):
     env1 = _artifact_bytes(tmp_path, cfg_path,
                            ["envelope", "--config", cfg_path], "a.csv")
     env2 = _artifact_bytes(tmp_path, cfg_path,
                            ["envelope", "--config", cfg_path], "b.csv")
     assert env1 == env2
-    monkeypatch.setenv("SBX_THREADS", "1")
     ks1 = _artifact_bytes(tmp_path, cfg_path,
                           ["ksweep", "--config", cfg_path], "k1.csv")
-    monkeypatch.setenv("SBX_THREADS", "7")
     ks2 = _artifact_bytes(tmp_path, cfg_path,
                           ["ksweep", "--config", cfg_path], "k2.csv")
     assert ks1 == ks2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sbxs.errors import ConvergenceError, DomainError
-from sbxs.gbessel import GBesselValue, bessel_j, gbessel, gbessel_quad, gbessel_row
+from sbxs.gbessel import bessel_j, gbessel, gbessel_quad, gbessel_row
 
 # Frozen from the quadrature oracle (cross-checked at 30 digits during
 # development); the oracle itself is exercised against the series below.
@@ -263,17 +263,19 @@ def test_parseval(u, v, delta):
 
 
 def test_unimodular_bound():
-    # |J_n(u,v,D)| <= 1: Fourier coefficient of a unimodular function
+    # |J_n(u,v,D)| <= 1: Fourier coefficient of a unimodular function; at
+    # D = 0 the integrand is symmetric under theta -> -theta, so J is real.
+    # Every other draw pins D = 0 (a continuous draw never lands on it).
     rng = np.random.default_rng(23)
-    for _ in range(40):
+    for i in range(40):
         n = int(rng.integers(-60, 61))
         u = float(rng.uniform(-40, 40))
         v = float(rng.uniform(-10, 10))
-        delta = float(rng.uniform(-math.pi, math.pi))
-        gv = GBesselValue.evaluate(n, u, v, delta)
-        assert abs(gv.value) <= 1.0 + 1e-12
-        if gv.delta == 0.0:
-            assert gv.value.imag == 0.0
+        delta = float(rng.uniform(-math.pi, math.pi)) if i % 2 else 0.0
+        value = gbessel(n, u, v, delta)
+        assert abs(value) <= 1.0 + 1e-12
+        if delta == 0.0:
+            assert value.imag == 0.0
 
 
 def test_series_vs_quadrature_randomized():

@@ -150,12 +150,13 @@ def test_k_sweep_reports_per_point_errors(tmp_path):
     assert pts[1].error is not None and math.isnan(pts[1].total)
 
 
-def test_thread_count_does_not_change_results(fig1a, monkeypatch):
-    monkeypatch.setenv("SBX_THREADS", "1")
-    seq = k_sweep(fig1a, [0.1, 0.2, 0.4, 0.8])
-    monkeypatch.setenv("SBX_THREADS", "4")
-    par = k_sweep(fig1a, [0.1, 0.2, 0.4, 0.8])
-    assert [p.total for p in seq] == [p.total for p in par]
+def test_k_sweep_equals_independent_totals_in_order(fig1a):
+    grid = [0.1, 0.2, 0.4, 0.8]
+    points = k_sweep(fig1a, grid)
+    assert [p.K for p in points] == grid
+    assert [p.error for p in points] == [None] * len(grid)
+    # bitwise: each point is exactly the total of its own scenario
+    assert [p.total for p in points] == [total_xs(fig1a.with_K(K)) for K in grid]
 
 
 def test_oracle_sweep_deterministic():
