@@ -73,8 +73,8 @@ def resolve_config(cfg, k_override=None):
 
     Returns (resolved_dict, Scenario, run_options).  The resolved dict is
     what gets embedded in output headers: photon energy in eV, field
-    strength as K, angles as given.  K, zeta and the formula are checked
-    by LaserField and Scenario; their DomainError becomes a ConfigError.
+    strength as K, angles as given.  units, PotentialFT, LaserField and
+    Scenario check the ranges; their errors become a ConfigError.
     """
     _require(isinstance(cfg, dict), "config must be a JSON object")
     for section in ("laser", "electron", "potential", "geometry"):
@@ -89,18 +89,9 @@ def resolve_config(cfg, k_override=None):
     has_l = "wavelength_nm" in laser_c
     _require(has_w != has_l,
              "laser: exactly one of photon_energy_eV / wavelength_nm")
-    omega = (float(laser_c["photon_energy_eV"]) if has_w
-             else units.wavelength_nm_to_ev(float(laser_c["wavelength_nm"])))
-    _require(omega > 0.0, "laser: photon energy must be > 0")
-
     has_i = "intensity_W_cm2" in laser_c
     has_k = "K" in laser_c
     _require(has_i != has_k, "laser: exactly one of intensity_W_cm2 / K")
-    K = (units.intensity_to_K(float(laser_c["intensity_W_cm2"]), omega)
-         if has_i else float(laser_c["K"]))
-    if k_override is not None:
-        K = float(k_override)
-    zeta = float(laser_c.get("zeta", 0.0))
 
     _require("kinetic_energy_eV" in elec_c, "electron: kinetic_energy_eV missing")
     ek = float(elec_c["kinetic_energy_eV"])
@@ -109,24 +100,12 @@ def resolve_config(cfg, k_override=None):
     _require(isinstance(direction, (list, tuple)) and len(direction) == 3,
              "electron: direction must be a 3-vector")
     direction = [float(c) for c in direction]
-    _require(any(c != 0.0 for c in direction),
-             "electron: direction must be nonzero")
 
     has_r = "screening_radius_au" in pot_c
     has_t = "table_path" in pot_c
     _require(has_r != has_t,
              "potential: exactly one of screening_radius_au / table_path")
-    if has_r:
-        _require("Za" in pot_c, "potential: Za missing")
-        za = float(pot_c["Za"])
-        radius = float(pot_c["screening_radius_au"])
-        _require(za > 0.0 and radius > 0.0,
-                 "potential: Za and screening_radius_au must be > 0")
-        potential = PotentialFT.screened_coulomb_au(za, radius)
-        pot_resolved = {"Za": za, "screening_radius_au": radius}
-    else:
-        potential = PotentialFT.from_table(pot_c["table_path"])
-        pot_resolved = {"table_path": str(pot_c["table_path"])}
+    _require(has_t or "Za" in pot_c, "potential: Za missing")
 
     _require("deflection_mrad" in geo_c, "geometry: deflection_mrad missing")
     deflection_mrad = float(geo_c["deflection_mrad"])
@@ -136,6 +115,34 @@ def resolve_config(cfg, k_override=None):
     formula = str(run_c.get("formula", "general"))
     tail_cut = float(run_c.get("tail_cut", TAIL_CUT_DEFAULT))
     _require(0.0 < tail_cut < 1.0, "run: tail_cut must lie in (0, 1)")
+
+    try:
+        omega = (float(laser_c["photon_energy_eV"]) if has_w
+                 else units.wavelength_nm_to_ev(float(laser_c["wavelength_nm"])))
+        K = (units.intensity_to_K(float(laser_c["intensity_W_cm2"]), omega)
+             if has_i else float(laser_c["K"]))
+        if k_override is not None:
+            K = float(k_override)
+        zeta = float(laser_c.get("zeta", 0.0))
+        if has_r:
+            za = float(pot_c["Za"])
+            radius = float(pot_c["screening_radius_au"])
+            potential = PotentialFT.screened_coulomb_au(za, radius)
+            pot_resolved = {"Za": za, "screening_radius_au": radius}
+        else:
+            potential = PotentialFT.from_table(pot_c["table_path"])
+            pot_resolved = {"table_path": str(pot_c["table_path"])}
+        scenario = Scenario(
+            laser=LaserField.from_K(omega, K, zeta),
+            kinetic_energy=ek,
+            direction=tuple(direction),
+            potential=potential,
+            deflection=deflection_mrad * 1.0e-3,
+            azimuth=math.radians(azimuth_deg),
+            formula=formula,
+        )
+    except (DomainError, OSError, ValueError) as exc:
+        raise ConfigError(str(exc))
 
     resolved = {
         "laser": {"photon_energy_eV": omega, "K": K, "zeta": zeta},
@@ -153,19 +160,6 @@ def resolve_config(cfg, k_override=None):
     for key in ("output_format", "output_path"):
         if key in run_c:
             resolved["run"][key] = str(run_c[key])
-
-    try:
-        scenario = Scenario(
-            laser=LaserField.from_K(omega, K, zeta),
-            kinetic_energy=ek,
-            direction=tuple(direction),
-            potential=potential,
-            deflection=deflection_mrad * 1.0e-3,
-            azimuth=math.radians(azimuth_deg),
-            formula=formula,
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc))
     return resolved, scenario, resolved["run"]
 
 
@@ -242,7 +236,10 @@ def cmd_partial(args):
 
 
 def cmd_envelope(args):
-    resolved, scenario, run = resolve_config(load_config(args.config), args.K)
+    cfg = load_config(args.config)
+    if args.tail_cut is not None and isinstance(cfg, dict):
+        cfg["run"] = dict(cfg.get("run", {}), tail_cut=args.tail_cut)
+    resolved, scenario, run = resolve_config(cfg, args.K)
     n_min = args.n_min if args.n_min is not None else run.get("n_min")
     n_max = args.n_max if args.n_max is not None else run.get("n_max")
     n_range = None
@@ -250,8 +247,7 @@ def cmd_envelope(args):
         _require(n_min is not None and n_max is not None,
                  "envelope: give both n_min and n_max or neither")
         n_range = (int(n_min), int(n_max))
-    tail_cut = args.tail_cut if args.tail_cut is not None else run["tail_cut"]
-    env = envelope(scenario, n_range=n_range, tail_cut=tail_cut)
+    env = envelope(scenario, n_range=n_range, tail_cut=run["tail_cut"])
     fmt = args.format or run.get("output_format", "csv")
     _emit(_envelope_payload(resolved, env, fmt, "envelope"),
           args.output or run.get("output_path"))
@@ -276,7 +272,7 @@ def cmd_ksweep(args):
     resolved, scenario, run = resolve_config(load_config(args.config), args.K)
     k_grid = run.get("k_grid")
     _require(k_grid, "ksweep: run.k_grid missing or empty")
-    points = k_sweep(scenario, k_grid)
+    points = k_sweep(scenario, k_grid, tail_cut=run["tail_cut"])
     bad = [p for p in points if p.error]
     rows = [(p.K, p.total) for p in points]
     text = _rows_csv(config_header(resolved, "ksweep"), KSWEEP_COLUMNS, rows)

@@ -135,7 +135,7 @@ def xs_oracle(scenario, n):
     """
     laser = scenario.laser
     dressed = scenario.dressed()
-    channel = scenario.channel(n, dressed)
+    channel = scenario.channel(n)
     A = amplitude_matrix(channel, laser, dressed)
 
     p, pf = dressed.p, channel.p_final

@@ -159,7 +159,7 @@ class KPoint:
     error: str = None
 
 
-def k_sweep(scenario, k_grid):
+def k_sweep(scenario, k_grid, tail_cut=TAIL_CUT_DEFAULT):
     """Independent totals per intensity parameter K, input order preserved.
 
     Per-point failures are reported in the output records instead of
@@ -174,7 +174,8 @@ def k_sweep(scenario, k_grid):
     points = []
     for K in k_grid:
         try:
-            points.append(KPoint(K=K, total=total_xs(scenario.with_K(K))))
+            total = total_xs(scenario.with_K(K), tail_cut=tail_cut)
+            points.append(KPoint(K=K, total=total))
         except (ChannelClosedError, ConvergenceError, DomainError) as exc:
             points.append(KPoint(K=K, total=math.nan,
                                  error=f"{type(exc).__name__}: {exc}"))

@@ -24,13 +24,14 @@ general form above is authoritative everywhere.
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ChannelClosedError, DomainError, LinearPathUnstableError
 from .gbessel import bessel_j, gbessel_row
 from .kinematics import (
+    DressedState,
     LaserField,
     _frame_rhat,
     alpha_theta,
@@ -57,7 +58,8 @@ class Scenario:
 
     deflection/azimuth are in radians; deflection is measured between the
     initial and final quasimomenta, azimuth 0 puts the final momentum in
-    the plane spanned by the initial quasimomentum and e1.
+    the plane spanned by the initial quasimomentum and e1.  The dressed
+    state and the observation direction are built (and checked) once here.
     """
 
     laser: LaserField
@@ -67,6 +69,8 @@ class Scenario:
     deflection: float
     azimuth: float = 0.0
     formula: str = "general"
+    _dressed: DressedState = field(init=False, repr=False)
+    _rhat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.formula not in VALID_FORMULAS:
@@ -75,20 +79,18 @@ class Scenario:
             raise DomainError("circular formula requires zeta = 1")
         if self.formula == "linear" and self.laser.zeta != 0.0:
             raise DomainError("linear formula requires zeta = 0")
-        if not 0.0 <= self.deflection <= math.pi:
-            raise DomainError(f"deflection must lie in [0, pi], got {self.deflection}")
         object.__setattr__(self, "direction", tuple(float(c) for c in self.direction))
+        dressed = dress(self.kinetic_energy, self.direction, self.laser)
+        rhat = deflection_frame(dressed, self.deflection, self.azimuth, self.laser)
+        object.__setattr__(self, "_dressed", dressed)
+        object.__setattr__(self, "_rhat", rhat)
 
     def dressed(self):
-        return dress(self.kinetic_energy, self.direction, self.laser)
-
-    def rhat(self, dressed_state=None):
-        ds = dressed_state if dressed_state is not None else self.dressed()
-        return deflection_frame(ds, self.deflection, self.azimuth, self.laser)
+        return self._dressed
 
     def channel(self, n, dressed_state=None):
-        ds = dressed_state if dressed_state is not None else self.dressed()
-        return open_channel(ds, n, self.rhat(ds), self.laser)
+        """n-photon channel kinematics; dressed_state must be self.dressed()."""
+        return open_channel(self._dressed, n, self._rhat, self.laser)
 
     def with_K(self, K):
         return replace(self, laser=self.laser.with_K(K))
@@ -171,7 +173,7 @@ def partial_xs_general(scenario, n):
     """Authoritative evaluation path, any polarization zeta in [0, 1]."""
     laser = scenario.laser
     dressed = scenario.dressed()
-    channel = scenario.channel(n, dressed)
+    channel = scenario.channel(n)
     d = d_functions(channel, laser, dressed)
 
     omega = laser.omega
@@ -199,7 +201,7 @@ def partial_xs_circular(scenario, n):
     if laser.zeta != 1.0:
         raise DomainError("circular closed form requires zeta = 1")
     dressed = scenario.dressed()
-    channel = scenario.channel(n, dressed)
+    channel = scenario.channel(n)
 
     omega = laser.omega
     a1, t1 = channel.alpha1, channel.theta1
@@ -245,7 +247,7 @@ def partial_xs_linear(scenario, n):
     if laser.zeta != 0.0:
         raise DomainError("linear closed form requires zeta = 0")
     dressed = scenario.dressed()
-    channel = scenario.channel(n, dressed)
+    channel = scenario.channel(n)
 
     omega = laser.omega
     q2 = float(np.dot(channel.q_n, channel.q_n))
@@ -289,11 +291,10 @@ def elastic_born(scenario):
     |U~(q0)|^2/(4 pi)^2 * (4 eps^2 - q0^2) with q0 the elastic momentum
     transfer at the scenario deflection; equals the field-free n = 0 limit.
     """
-    laser0 = scenario.laser.with_K(0.0)
-    dressed = dress(scenario.kinetic_energy, scenario.direction, laser0)
-    rhat = deflection_frame(dressed, scenario.deflection, scenario.azimuth, laser0)
+    field_free = scenario.with_K(0.0)
+    dressed = field_free.dressed()
     pvec = dressed.p.vec3
-    q = float(np.linalg.norm(pvec)) * rhat - pvec
+    q = float(np.linalg.norm(pvec)) * field_free._rhat - pvec
     q2 = float(np.dot(q, q))
     ut = u_tilde(scenario.potential, q)
     eps = dressed.p.t

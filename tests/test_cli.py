@@ -72,6 +72,18 @@ def test_wavelength_and_k_input(tmp_path):
         lambda c: c["run"].update(formula="bogus"),
         lambda c: c["laser"].update(K=-0.1) or
                   c["laser"].pop("intensity_W_cm2"),
+        lambda c: c["laser"].update(intensity_W_cm2=-1.0),
+        lambda c: c["laser"].update(wavelength_nm=-1.0) or
+                  c["laser"].pop("photon_energy_eV"),
+        lambda c: c["laser"].update(photon_energy_eV=0.0),
+        lambda c: c["potential"].update(Za=0.0),
+        lambda c: c["potential"].update(screening_radius_au=0.0),
+        lambda c: c["electron"].update(direction=[0, 0, 0]),
+        # unreadable potential tables: missing, and not a numeric table
+        lambda c: c["potential"].update(table_path="/nonexistent.tab") or
+                  c["potential"].pop("screening_radius_au"),
+        lambda c: c["potential"].update(table_path=__file__) or
+                  c["potential"].pop("screening_radius_au"),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):
@@ -82,6 +94,19 @@ def test_bad_configs_exit_2(tmp_path, capsys, mutate):
     code, _, err = _run(capsys, ["total", "--config", str(path)])
     assert code == 2
     assert "config error" in err
+
+
+def test_tail_cut_flag_checked_and_echoed(capsys, cfg_path):
+    for bad in ("2", "0", "-1"):  # 0 and -1 would never end the tail
+        code, _, err = _run(capsys, ["envelope", "--config", cfg_path,
+                                     f"--tail-cut={bad}"])
+        assert code == 2
+        assert "config error" in err
+    code, out, _ = _run(capsys, ["envelope", "--config", cfg_path,
+                                 "--tail-cut", "1e-3"])
+    assert code == 0
+    header = [l for l in out.splitlines() if l.startswith("# config: ")]
+    assert json.loads(header[0][len("# config: "):])["run"]["tail_cut"] == 1e-3
 
 
 def test_missing_config_file_exit_2(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sbxs.scan as scan
 from conftest import make_scenario
 from sbxs.errors import ChannelClosedError, DomainError
 from sbxs.potential import PotentialFT
@@ -157,6 +158,19 @@ def test_k_sweep_equals_independent_totals_in_order(fig1a):
     assert [p.error for p in points] == [None] * len(grid)
     # bitwise: each point is exactly the total of its own scenario
     assert [p.total for p in points] == [total_xs(fig1a.with_K(K)) for K in grid]
+
+
+def test_k_sweep_honours_tail_cut(fig1a, monkeypatch):
+    grid, t = [0.1, 0.4], 1.0e-3
+    points = k_sweep(fig1a, grid, tail_cut=t)
+    assert [p.total for p in points] == [total_xs(fig1a.with_K(K), tail_cut=t)
+                                         for K in grid]
+    # fig1a totals do not move with the cut, so also check it is passed on
+    seen = []
+    monkeypatch.setattr(scan, "total_xs",
+                        lambda s, tail_cut: seen.append(tail_cut) or 1.0)
+    k_sweep(fig1a, grid, tail_cut=t)
+    assert seen == [t] * len(grid)
 
 
 def test_oracle_sweep_deterministic():

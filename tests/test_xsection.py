@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import sbxs.xsection as xsection
 from conftest import make_scenario
 from sbxs.errors import ChannelClosedError, DomainError, LinearPathUnstableError
+from sbxs.scan import envelope
 from sbxs.units import ELECTRON_MASS_EV, FINE_STRUCTURE
 from sbxs.xsection import (
     Scenario,
@@ -121,6 +123,39 @@ def test_closed_channel_raises(pot_fig, k_fig):
     s = make_scenario(pot_fig, K=k_fig)
     with pytest.raises(ChannelClosedError):
         partial_xs_general(s, -10**6)
+
+
+# ---------------------------------------------------------------------------
+# scenario resolution
+# ---------------------------------------------------------------------------
+
+def test_scenario_dresses_and_frames_once(monkeypatch, pot_fig, k_fig):
+    calls = {"dress": 0, "deflection_frame": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(xsection, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(xsection, name, counted)
+    s = make_scenario(pot_fig, K=k_fig, zeta=1.0, deflection_mrad=0.6)
+    env = envelope(s)
+    assert len(env.entries) > 20
+    assert calls == {"dress": 1, "deflection_frame": 1}
+    # with_K resolves the new intensity's own state
+    s2 = s.with_K(0.5)
+    assert calls == {"dress": 2, "deflection_frame": 2}
+    assert s2.dressed().Z > s.dressed().Z
+
+
+@pytest.mark.parametrize(
+    "ek, K, direction",
+    [
+        (2700.0, 0.17, (0.0, 0.0, 0.0)),   # zero direction
+        (0.0, 0.0, (0.0, 0.0, 1.0)),       # at rest, no field: Pi = 0
+    ],
+)
+def test_bad_geometry_raises_at_construction(pot_fig, ek, K, direction):
+    with pytest.raises(DomainError):
+        make_scenario(pot_fig, K=K, ek=ek, direction=direction)
 
 
 # ---------------------------------------------------------------------------
