@@ -58,6 +58,14 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _number(kind, value, what):
+    """kind(value) for kind float or int, a ConfigError if it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -94,12 +102,12 @@ def resolve_config(cfg, k_override=None):
     _require(has_i != has_k, "laser: exactly one of intensity_W_cm2 / K")
 
     _require("kinetic_energy_eV" in elec_c, "electron: kinetic_energy_eV missing")
-    ek = float(elec_c["kinetic_energy_eV"])
+    ek = _number(float, elec_c["kinetic_energy_eV"], "electron: kinetic_energy_eV")
     _require(ek > 0.0, "electron: kinetic energy must be > 0")
     direction = elec_c.get("direction", [0.0, 0.0, 1.0])
     _require(isinstance(direction, (list, tuple)) and len(direction) == 3,
              "electron: direction must be a 3-vector")
-    direction = [float(c) for c in direction]
+    direction = [_number(float, c, "electron: direction") for c in direction]
 
     has_r = "screening_radius_au" in pot_c
     has_t = "table_path" in pot_c
@@ -108,12 +116,15 @@ def resolve_config(cfg, k_override=None):
     _require(has_t or "Za" in pot_c, "potential: Za missing")
 
     _require("deflection_mrad" in geo_c, "geometry: deflection_mrad missing")
-    deflection_mrad = float(geo_c["deflection_mrad"])
+    deflection_mrad = _number(float, geo_c["deflection_mrad"],
+                              "geometry: deflection_mrad")
     _require(deflection_mrad > 0.0, "geometry: deflection_mrad must be > 0")
-    azimuth_deg = float(geo_c.get("azimuth_deg", 0.0))
+    azimuth_deg = _number(float, geo_c.get("azimuth_deg", 0.0),
+                          "geometry: azimuth_deg")
 
     formula = str(run_c.get("formula", "general"))
-    tail_cut = float(run_c.get("tail_cut", TAIL_CUT_DEFAULT))
+    tail_cut = _number(float, run_c.get("tail_cut", TAIL_CUT_DEFAULT),
+                       "run: tail_cut")
     _require(0.0 < tail_cut < 1.0, "run: tail_cut must lie in (0, 1)")
 
     try:
@@ -154,9 +165,11 @@ def resolve_config(cfg, k_override=None):
     }
     for key in ("n", "n_min", "n_max"):
         if key in run_c:
-            resolved["run"][key] = int(run_c[key])
+            resolved["run"][key] = _number(int, run_c[key], f"run: {key}")
     if "k_grid" in run_c:
-        resolved["run"]["k_grid"] = [float(k) for k in run_c["k_grid"]]
+        _require(isinstance(run_c["k_grid"], list), "run: k_grid must be a list")
+        resolved["run"]["k_grid"] = [_number(float, k, "run: k_grid")
+                                     for k in run_c["k_grid"]]
     for key in ("output_format", "output_path"):
         if key in run_c:
             resolved["run"][key] = str(run_c[key])

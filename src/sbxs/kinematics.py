@@ -110,12 +110,19 @@ class LaserField:
 
 @dataclass(frozen=True, eq=False)
 class DressedState:
-    """Free four-momentum plus the wave-intensity parameter and quasimomentum."""
+    """Free four-momentum plus the wave-intensity parameter and quasimomentum.
+
+    alpha_pi, theta_pi = alpha_theta(Pivec / k.p) and pivec_mag = |Pivec|
+    are the dressing terms every channel of the state reads.
+    """
 
     p: FourVector
     Z: float
     Pi: FourVector
     kdotp: float
+    alpha_pi: float
+    theta_pi: float
+    pivec_mag: float
 
     @property
     def mstar2(self):
@@ -144,7 +151,10 @@ def dress(kinetic_energy, direction, laser):
     Pi = FourVector.from_parts(
         p.t + laser.omega * shift, p.vec3 + laser.omega * shift * laser.khat
     )
-    return DressedState(p=p, Z=Z, Pi=Pi, kdotp=kdotp)
+    alpha_pi, theta_pi = alpha_theta(Pi.vec3 / kdotp, laser)
+    return DressedState(p=p, Z=Z, Pi=Pi, kdotp=kdotp, alpha_pi=alpha_pi,
+                        theta_pi=theta_pi,
+                        pivec_mag=float(np.linalg.norm(Pi.vec3)))
 
 
 def alpha_theta(rho, laser):

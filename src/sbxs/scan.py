@@ -24,11 +24,16 @@ from .xsection import (
     _nonrel_eval,
     partial_xs_circular,
     partial_xs_general,
+    partial_xs_general_batch,
     partial_xs_linear,
 )
 
 TAIL_CUT_DEFAULT = 1.0e-8
 MARGIN_FACTOR_DEFAULT = 10.0
+
+# Channels per side in each block of the auto range after the first, which
+# reaches the Bessel-support margin of alpha1(0).
+BLOCK_EXTEND = 24
 
 
 def partial(scenario, n):
@@ -67,9 +72,47 @@ class Envelope:
     total: float
 
 
+def _margin(alpha1, margin_factor):
+    return alpha1 + margin_factor * (alpha1 ** (1.0 / 3.0) + 1.0)
+
+
 def _tail_done(px, vmax, tail_cut, margin_factor):
-    margin = px.alpha1 + margin_factor * (px.alpha1 ** (1.0 / 3.0) + 1.0)
-    return px.value < tail_cut * vmax and abs(px.n) > margin
+    return px.value < tail_cut * vmax and abs(px.n) > _margin(px.alpha1, margin_factor)
+
+
+def _block(scenario, ns, cut):
+    """Open channels of ns, in order; a closed channel is skipped or, with
+    cut, ends the block.  Returns (entries, whether a channel was closed).
+
+    The general formula builds the Bessel rows of the whole block at once;
+    the other formulas evaluate each channel through partial.
+    """
+    general = scenario.formula == "general"
+    opened, closed = [], False
+    for n in ns:
+        try:
+            opened.append(scenario.channel(n) if general else partial(scenario, n))
+        except ChannelClosedError:
+            closed = True
+            if cut:
+                break
+    if general:
+        opened = partial_xs_general_batch(scenario, opened)
+    return opened, closed
+
+
+def _outward(scenario, step, reach):
+    """Entries of channels step, 2*step, ... outward, up to the first
+    closed one, evaluated as iterated: reach channels, then BLOCK_EXTEND
+    channels at a time."""
+    n, size = step, reach
+    while True:
+        entries, closed = _block(scenario, range(n, n + step * size, step), cut=True)
+        yield from entries
+        if closed:
+            return
+        n += step * size
+        size = BLOCK_EXTEND
 
 
 def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT,
@@ -79,16 +122,13 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT,
 
     With an explicit (n_min, n_max) range, closed channels inside the range
     are skipped.  The included set is canonical: it never depends on which
-    side expanded first.
+    side expanded first, nor on how the channels were grouped into blocks.
     """
+    if not 0.0 < tail_cut < 1.0:
+        raise DomainError(f"tail_cut must lie in (0, 1), got {tail_cut}")
     if n_range is not None:
         n_min, n_max = int(n_range[0]), int(n_range[1])
-        entries = []
-        for n in range(n_min, n_max + 1):
-            try:
-                entries.append(partial(scenario, n))
-            except ChannelClosedError:
-                continue
+        entries, _ = _block(scenario, range(n_min, n_max + 1), cut=False)
         if not entries:
             raise ChannelClosedError(n_min, "no open channels in range")
         return _finish_envelope(entries)
@@ -97,16 +137,11 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT,
     if scenario.laser.a0bar == 0.0:
         return _finish_envelope([values[0]])
 
+    reach = int(_margin(values[0].alpha1, margin_factor)) + 1
     vmax = values[0].value
     for step in (1, -1):
-        n = 0
-        while True:
-            n += step
-            try:
-                px = partial(scenario, n)
-            except ChannelClosedError:
-                break
-            values[n] = px
+        for px in _outward(scenario, step, reach):
+            values[px.n] = px
             vmax = max(vmax, px.value)
             if _tail_done(px, vmax, tail_cut, margin_factor):
                 break

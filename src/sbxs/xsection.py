@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ChannelClosedError, DomainError, LinearPathUnstableError
-from .gbessel import bessel_j, gbessel_row
-from .kinematics import (
+from .gbessel import bessel_j, gbessel_row, gbessel_rows
+from .kinematics import (  # alpha_theta: unused here, traced by bench/run.py
     DressedState,
     LaserField,
     _frame_rhat,
@@ -135,15 +135,24 @@ class PartialXS:
         return cls(n=n, value=value, terms=terms, alpha1=alpha1, q2=q2)
 
 
-def d_functions(channel, laser, dressed):
-    """D_n, D_{1,n}(theta(p)), D_{2,n} and Dvec for one open channel."""
+def _d_row_spec(channel):
+    """gbessel_row arguments of the orders n-2..n+2 that D-functions read."""
     n = channel.n
-    a1, a2, t1 = channel.alpha1, channel.alpha2, channel.theta1
-    row = gbessel_row(n - 2, n + 2, a1, -a2, t1)
+    return (n - 2, n + 2, channel.alpha1, -channel.alpha2, channel.theta1)
+
+
+def d_functions(channel, laser, dressed, row=None):
+    """D_n, D_{1,n}(theta(p)), D_{2,n} and Dvec for one open channel.
+
+    row is gbessel_row(*_d_row_spec(channel)) when the caller built it.
+    """
+    n = channel.n
+    t1 = channel.theta1
+    if row is None:
+        row = gbessel_row(*_d_row_spec(channel))
     jm2, jm1, jn, jp1, jp2 = (row[m] for m in range(n - 2, n + 3))
 
-    _, theta_p = alpha_theta(dressed.Pi.vec3 / dressed.kdotp, laser)
-    rel = t1 - theta_p
+    rel = t1 - dressed.theta_pi
     d1n = 0.5 * (jm1 * cmath.exp(-1j * rel) + jp1 * cmath.exp(1j * rel))
 
     zeta2 = laser.zeta**2
@@ -164,35 +173,43 @@ def d_functions(channel, laser, dressed):
 def _prefactor_au(scenario, dressed, channel):
     """|Pivec'| |U~(q_n)|^2 / ((4 pi)^2 |Pivec|), converted to bohr^2/sr."""
     ut = u_tilde(scenario.potential, channel.q_n)
-    pivec_mag = float(np.linalg.norm(dressed.Pi.vec3))
-    pref_nat = channel.Pi_n * ut**2 / (FOUR_PI_SQ * pivec_mag)
+    pref_nat = channel.Pi_n * ut**2 / (FOUR_PI_SQ * dressed.pivec_mag)
     return xs_to_atomic_units(pref_nat)
 
 
-def partial_xs_general(scenario, n):
-    """Authoritative evaluation path, any polarization zeta in [0, 1]."""
+def partial_xs_general_batch(scenario, channels):
+    """partial_xs_general of each open channel of the scenario, in order;
+    one gbessel_rows call builds the Bessel rows of all of them."""
     laser = scenario.laser
     dressed = scenario.dressed()
-    channel = scenario.channel(n)
-    d = d_functions(channel, laser, dressed)
-
     omega = laser.omega
     eps = dressed.p.t
-    alpha_pi, _ = alpha_theta(dressed.Pi.vec3 / dressed.kdotp, laser)
+    rows = gbessel_rows([_d_row_spec(channel) for channel in channels])
+    out = []
+    for channel, row in zip(channels, rows):
+        d = d_functions(channel, laser, dressed, row)
+        amp = (eps * d.d_n + omega * dressed.Z * d.d2n
+               - omega * dressed.alpha_pi * d.d1n_p)
+        q2 = float(np.dot(channel.q_n, channel.q_n))
+        q_perp2 = max(q2 - float(np.dot(laser.khat, channel.q_n)) ** 2, 0.0)
+        wave_factor = omega**2 * q_perp2 / (dressed.kdotp * channel.kdotp_final)
 
-    amp = eps * d.d_n + omega * dressed.Z * d.d2n - omega * alpha_pi * d.d1n_p
-    q2 = float(np.dot(channel.q_n, channel.q_n))
-    q_perp2 = max(q2 - float(np.dot(laser.khat, channel.q_n)) ** 2, 0.0)
-    wave_factor = omega**2 * q_perp2 / (dressed.kdotp * channel.kdotp_final)
+        main = 4.0 * abs(amp) ** 2
+        recoil = -q2 * abs(d.d_n) ** 2
+        wave = wave_factor * (
+            d.dvec_abs2 - 0.5 * laser.a0bar**2 * (d.d_n * d.d2n.conjugate()).real
+        )
 
-    main = 4.0 * abs(amp) ** 2
-    recoil = -q2 * abs(d.d_n) ** 2
-    wave = wave_factor * (
-        d.dvec_abs2 - 0.5 * laser.a0bar**2 * (d.d_n * d.d2n.conjugate()).real
-    )
+        pref = _prefactor_au(scenario, dressed, channel)
+        out.append(PartialXS.from_terms(channel.n, channel.alpha1, q2,
+                                        main, recoil, wave, pref))
+    return out
 
-    pref = _prefactor_au(scenario, dressed, channel)
-    return PartialXS.from_terms(n, channel.alpha1, q2, main, recoil, wave, pref)
+
+def partial_xs_general(scenario, n):
+    """Authoritative evaluation path, any polarization zeta in [0, 1]: the
+    one-channel call of partial_xs_general_batch."""
+    return partial_xs_general_batch(scenario, [scenario.channel(n)])[0]
 
 
 def partial_xs_circular(scenario, n):
@@ -220,8 +237,8 @@ def partial_xs_circular(scenario, n):
         jpn = 0.5 * (jm1 - jp1)
         n_over_a1 = n / a1
 
-    alpha_pi, theta_p = alpha_theta(dressed.Pi.vec3 / dressed.kdotp, laser)
-    rel = t1 - theta_p
+    alpha_pi = dressed.alpha_pi
+    rel = t1 - dressed.theta_pi
     beta2 = channel.beta2
 
     main = (

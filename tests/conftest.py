@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from sbxs.kinematics import LaserField
@@ -39,3 +41,16 @@ def make_scenario(pot, K=0.17, zeta=1.0, deflection_mrad=0.6,
 def fig1a(pot_fig, k_fig):
     """Fig. 1a: circular wave, electron along the propagation direction."""
     return make_scenario(pot_fig, K=k_fig, zeta=1.0, deflection_mrad=0.6)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Counts of scalar (_jn_row) and batched (_sweep) Miller sweeps."""
+    gb = importlib.import_module("sbxs.gbessel")  # the package rebinds sbxs.gbessel
+    count = {"scalar": 0, "batched": 0}
+    for name, key in (("_jn_row", "scalar"), ("_sweep", "batched")):
+        def counted(*args, _real=getattr(gb, name), _key=key):
+            count[_key] += 1
+            return _real(*args)
+        monkeypatch.setattr(gb, name, counted)
+    return count

@@ -84,6 +84,17 @@ def test_wavelength_and_k_input(tmp_path):
                   c["potential"].pop("screening_radius_au"),
         lambda c: c["potential"].update(table_path=__file__) or
                   c["potential"].pop("screening_radius_au"),
+        # values that are not numbers, one per field converted by the CLI
+        lambda c: c["electron"].update(kinetic_energy_eV="abc"),
+        lambda c: c["electron"].update(direction=["x", 0, 1]),
+        lambda c: c["geometry"].update(deflection_mrad="abc"),
+        lambda c: c["geometry"].update(azimuth_deg=None),
+        lambda c: c["run"].update(tail_cut="abc"),
+        lambda c: c["run"].update(n="abc"),
+        lambda c: c["run"].update(n_min=[1]),
+        lambda c: c["run"].update(n_max="abc"),
+        lambda c: c["run"].update(k_grid=["x"]),
+        lambda c: c["run"].update(k_grid=0.5),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -288,3 +289,93 @@ def test_series_vs_quadrature_randomized():
         s = gbessel(n, u, v, delta)
         q = gbessel_quad(n, u, v, delta)
         assert abs(s - q) <= 1e-10 * max(abs(q), 1.0e-13)
+
+
+# ---------------------------------------------------------------------------
+# lane-batched rows: bit for bit the scalar ones
+# ---------------------------------------------------------------------------
+
+gb = importlib.import_module("sbxs.gbessel")  # the package rebinds sbxs.gbessel
+
+
+def _bits(values):
+    return np.asarray(values).tobytes()
+
+
+def test_jn_rows_equal_jn_row_lane_by_lane(sweeps):
+    # x = 1e-5 and 1e-3 rescale on the way down; 0 and x < 1e-6 take the
+    # scalar branches; 1000 and 5000 are long rows; nmax differs per lane
+    rng = np.random.default_rng(41)
+    xs = [1.0e-5, 1.0e-3, 0.0, 5.0e-7, 1000.0, 5000.0, 3.0, 17.5]
+    nmaxs = [30, 25, 5, 10, 1100, 20, 60, 3]
+    xs += [float(x) for x in rng.uniform(0.0, 300.0, 2 * gb._BATCH_MIN)]
+    nmaxs += [int(m) for m in rng.integers(0, 400, 2 * gb._BATCH_MIN)]
+    windows = []
+    for nmax in nmaxs:
+        lo = int(rng.integers(0, nmax + 1))
+        windows.append((lo, int(rng.integers(lo, nmax + 1))))
+    rows = gb._jn_rows(xs, nmaxs, [(0, nmax) for nmax in nmaxs])
+    cut = gb._jn_rows(xs, nmaxs, windows)
+    assert sweeps["batched"] == 2
+    for x, nmax, (lo, hi), row, part in zip(xs, nmaxs, windows, rows, cut):
+        ref = gb._jn_row(x, nmax)
+        assert _bits(row) == _bits(ref), (x, nmax)
+        assert _bits(part) == _bits(ref[lo:hi + 1]), (x, nmax, lo, hi)
+
+
+def _specs(rng, count):
+    specs = []
+    for i in range(count):
+        n = int(rng.integers(-150, 151))
+        u = float(rng.uniform(0.0, 120.0)) * (-1.0 if i % 3 == 0 else 1.0)
+        v = (0.0, -0.0, float(rng.uniform(-15.0, 15.0)))[i % 3]
+        delta = 0.0 if i % 4 == 0 else float(rng.uniform(-math.pi, math.pi))
+        specs.append((n - 2, n + 2, u, v, delta))
+    # orders beyond the support cut of u, for v = 0 and v != 0
+    specs += [(180, 184, 20.0, 0.0, 0.3), (-184, -180, -20.0, 2.5, 0.3)]
+    return specs
+
+
+def test_gbessel_rows_equal_gbessel_row(sweeps):
+    specs = _specs(np.random.default_rng(43), 3 * gb._BATCH_MIN)
+    rows = gb.gbessel_rows(specs)
+    assert sweeps == {"scalar": 0, "batched": 1}
+    for spec, row in zip(specs, rows):
+        ref = gbessel_row(*spec)
+        assert (row.n_min, row.n_max) == (ref.n_min, ref.n_max)
+        assert _bits(row.values) == _bits(ref.values), spec
+
+
+def test_v0_shortcut_equals_k_window_sum():
+    # J_n(u, 0, D) = sum_k exp(-2ikD) J_{n-2k}(u) J_k(0) over the series'
+    # k window, built here from _jn_row rows as the series sums it
+    rng = np.random.default_rng(47)
+    cases = [(0.0, 0.4), (-0.0, -1.3), (12.5, 0.4), (-12.5, 0.4),
+             (3.0e-7, 2.0), (250.0, -2.9)]
+    cases += [(float(rng.uniform(-80, 80)), float(rng.uniform(-4, 4)))
+              for _ in range(10)]
+
+    def lookup(row, orders, neg_arg):
+        a = np.abs(orders)
+        sign = np.where((orders < 0) & (a % 2 == 1), -1.0, 1.0)
+        if neg_arg:
+            sign = np.where(orders % 2 != 0, -sign, sign)
+        return row[a] * sign
+
+    for u, delta in cases:
+        for v in (0.0, -0.0):
+            k_max, u_cut = gb._series_cuts(u, v)
+            n_lo, n_hi = -u_cut - 6, u_cut + 6
+            row_u = gb._jn_row(abs(u), min(u_cut, max(-n_lo, n_hi) + 2 * k_max))
+            row_v = gb._jn_row(abs(v), k_max)
+            want = np.zeros(n_hi - n_lo + 1, dtype=complex)
+            for i, n in enumerate(range(n_lo, n_hi + 1)):
+                k_lo = max(-k_max, math.ceil((n - u_cut) / 2.0))
+                k_hi = min(k_max, math.floor((n + u_cut) / 2.0))
+                if k_lo <= k_hi:
+                    ks = np.arange(k_lo, k_hi + 1)
+                    want[i] = np.sum(np.exp(-2.0j * delta * ks)
+                                     * lookup(row_u, n - 2 * ks, u < 0.0)
+                                     * lookup(row_v, ks, False))
+            got = gbessel_row(n_lo, n_hi, u, v, delta).values
+            assert _bits(got) == _bits(want), (u, v, delta)

@@ -14,7 +14,7 @@ from sbxs.scan import (
     partial,
     total_xs,
 )
-from sbxs.xsection import elastic_born
+from sbxs.xsection import elastic_born, partial_xs_general
 
 
 def test_envelope_free_field_single_entry(pot_fig):
@@ -179,3 +179,60 @@ def test_oracle_sweep_deterministic():
     assert a[0] == b[0]
     assert a[1] == b[1]
     assert a[0] < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# envelopes evaluated as blocks of channels
+# ---------------------------------------------------------------------------
+
+def _fields(px):
+    return (px.n, px.value, px.terms, px.alpha1, px.q2)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(K=0.17, zeta=0.5, deflection_mrad=6.0, direction=(0.3, -0.2, 1.0)),
+        dict(K=0.05, zeta=1.0, deflection_mrad=200.0, ek=27.0),  # -n closes
+        dict(K=0.0, zeta=1.0),
+    ],
+)
+def test_block_envelope_equals_single_channels(pot_fig, kw):
+    s = make_scenario(pot_fig, **kw)
+    env = envelope(s)
+    ns = [px.n for px in env.entries]
+    assert [_fields(px) for px in env.entries] == \
+        [_fields(partial_xs_general(s, n)) for n in ns]
+    if kw.get("ek") == 27.0:
+        with pytest.raises(ChannelClosedError):
+            s.channel(ns[0] - 1)
+    if kw["K"] == 0.0:
+        assert ns == [0]
+    # an explicit range is one block; it skips the closed channels
+    lo, hi = ns[0] - 3, ns[0] + 30
+    singles = []
+    for n in range(lo, hi + 1):
+        try:
+            singles.append(_fields(partial_xs_general(s, n)))
+        except ChannelClosedError:
+            continue
+    ranged = envelope(s, n_range=(lo, hi))
+    assert [_fields(px) for px in ranged.entries] == singles
+
+
+def test_fig1a_envelope_sweeps_in_blocks(fig1a, sweeps):
+    # a fallback to one Miller row per channel would run ~70 sweeps here
+    env = envelope(fig1a)
+    assert len(env.entries) == 69
+    assert sweeps["batched"] >= 2
+    assert sweeps["scalar"] + sweeps["batched"] <= 6
+
+
+@pytest.mark.parametrize("tail_cut", [0.0, -1.0, 1.0, 2.0, math.nan])
+def test_tail_cut_outside_unit_interval_raises(fig1a, tail_cut):
+    with pytest.raises(DomainError, match="tail_cut"):
+        envelope(fig1a, tail_cut=tail_cut)
+    with pytest.raises(DomainError, match="tail_cut"):
+        total_xs(fig1a, tail_cut=tail_cut)
+    [point] = k_sweep(fig1a, [0.2], tail_cut=tail_cut)
+    assert math.isnan(point.total) and "tail_cut" in point.error

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sbxs.kinematics as kinematics
 import sbxs.xsection as xsection
 from conftest import make_scenario
 from sbxs.errors import ChannelClosedError, DomainError, LinearPathUnstableError
@@ -144,6 +145,24 @@ def test_scenario_dresses_and_frames_once(monkeypatch, pot_fig, k_fig):
     s2 = s.with_K(0.5)
     assert calls == {"dress": 2, "deflection_frame": 2}
     assert s2.dressed().Z > s.dressed().Z
+
+
+def test_dressing_terms_built_once_per_scenario(monkeypatch, pot_fig):
+    s = make_scenario(pot_fig, K=0.17, zeta=0.5, deflection_mrad=6.0,
+                      direction=(0.3, -0.2, 1.0))
+    ds = s.dressed()
+    assert (ds.alpha_pi, ds.theta_pi) == \
+        kinematics.alpha_theta(ds.Pi.vec3 / ds.kdotp, s.laser)
+    assert ds.pivec_mag == float(np.linalg.norm(ds.Pi.vec3))
+    calls = []
+
+    def counted(*args, _real=kinematics.alpha_theta):
+        calls.append(args)
+        return _real(*args)
+    monkeypatch.setattr(kinematics, "alpha_theta", counted)
+    monkeypatch.setattr(xsection, "alpha_theta", counted)
+    partial_xs_general(s, 3)
+    assert len(calls) == 1          # open_channel's alpha1, theta1 only
 
 
 @pytest.mark.parametrize(
