@@ -41,7 +41,6 @@ from .kinematics import (
 from .potential import PotentialFT, u_tilde
 from .scan import Envelope, KPoint, envelope, k_sweep, oracle_deviation_sweep, total_xs
 from .units import (
-    CONSTANTS,
     K_to_intensity,
     intensity_to_K,
     xs_from_atomic_units,
@@ -74,7 +73,7 @@ __all__ = [
     "amplitude_matrix", "slash", "spinor", "xs_oracle",
     "Envelope", "KPoint", "envelope", "total_xs", "k_sweep",
     "oracle_deviation_sweep",
-    "CONSTANTS", "intensity_to_K", "K_to_intensity",
+    "intensity_to_K", "K_to_intensity",
     "xs_to_atomic_units", "xs_from_atomic_units",
     "DomainError", "ChannelClosedError", "ConvergenceError",
     "LinearPathUnstableError", "OracleInconsistencyError", "ConfigError",

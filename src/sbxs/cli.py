@@ -217,11 +217,11 @@ def _emit(text, output_path):
         sys.stdout.write(text)
 
 
-def _envelope_payload(resolved, env, fmt, kind):
+def _envelope_payload(resolved, env, fmt):
     if fmt == "json":
         doc = {
             "config": resolved,
-            "kind": kind,
+            "kind": "envelope",
             "n_peak": env.n_peak,
             "alpha1_at_peak": env.alpha1_at_peak,
             "total_au": env.total,
@@ -229,7 +229,7 @@ def _envelope_payload(resolved, env, fmt, kind):
         }
         return _json_text(doc)
     rows = [_px_row(px) for px in env.entries]
-    return _rows_csv(config_header(resolved, kind), ENVELOPE_COLUMNS, rows)
+    return _rows_csv(config_header(resolved, "envelope"), ENVELOPE_COLUMNS, rows)
 
 
 def cmd_partial(args):
@@ -262,21 +262,18 @@ def cmd_envelope(args):
         n_range = (int(n_min), int(n_max))
     env = envelope(scenario, n_range=n_range, tail_cut=run["tail_cut"])
     fmt = args.format or run.get("output_format", "csv")
-    _emit(_envelope_payload(resolved, env, fmt, "envelope"),
+    _emit(_envelope_payload(resolved, env, fmt),
           args.output or run.get("output_path"))
     return 0
 
 
-def cmd_total(args):
-    resolved, scenario, run = resolve_config(load_config(args.config), args.K)
-    value = total_xs(scenario, tail_cut=run["tail_cut"])
-    _emit(f"{_fmt(value)}\n", args.output or run.get("output_path"))
-    return 0
-
-
-def cmd_elastic(args):
-    resolved, scenario, run = resolve_config(load_config(args.config), args.K)
-    value = elastic_born(scenario)
+def cmd_value(args):
+    """total or elastic: one number on one line."""
+    _, scenario, run = resolve_config(load_config(args.config), args.K)
+    if args.command == "total":
+        value = total_xs(scenario, tail_cut=run["tail_cut"])
+    else:
+        value = elastic_born(scenario)
     _emit(f"{_fmt(value)}\n", args.output or run.get("output_path"))
     return 0
 
@@ -405,33 +402,22 @@ def render_svg(xs, ys, xlabel, ylabel, title, logy=False):
             f'font-family="monospace" font-size="12">{_tick_label(t)}</text>'
         )
     if logy:
-        d_lo, d_hi = math.floor(y_lo), math.ceil(y_hi)
-        decades = range(int(d_lo), int(d_hi) + 1)
-        for d in decades:
-            if not y_lo <= d <= y_hi:
-                continue
-            py = sy(d)
-            out.append(
-                f'<line x1="{_ML - 6}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" '
-                f'stroke="black" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_ML - 10}" y="{py:.2f}" text-anchor="end" '
-                f'dominant-baseline="middle" font-family="monospace" '
-                f'font-size="12">1e{d}</text>'
-            )
+        y_ticks = [(d, f"1e{d}")
+                   for d in range(math.floor(y_lo), math.ceil(y_hi) + 1)
+                   if y_lo <= d <= y_hi]
     else:
-        for t in _nice_ticks(y_lo, y_hi):
-            py = sy(t)
-            out.append(
-                f'<line x1="{_ML - 6}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" '
-                f'stroke="black" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_ML - 10}" y="{py:.2f}" text-anchor="end" '
-                f'dominant-baseline="middle" font-family="monospace" '
-                f'font-size="12">{_tick_label(t)}</text>'
-            )
+        y_ticks = [(t, _tick_label(t)) for t in _nice_ticks(y_lo, y_hi)]
+    for t, label in y_ticks:
+        py = sy(t)
+        out.append(
+            f'<line x1="{_ML - 6}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" '
+            f'stroke="black" stroke-width="1"/>'
+        )
+        out.append(
+            f'<text x="{_ML - 10}" y="{py:.2f}" text-anchor="end" '
+            f'dominant-baseline="middle" font-family="monospace" '
+            f'font-size="12">{label}</text>'
+        )
     out.append(
         f'<text x="{_ML + iw // 2}" y="{_SVG_H - 18}" text-anchor="middle" '
         f'font-family="monospace" font-size="13">{xlabel}</text>'
@@ -533,8 +519,8 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--tail-cut", type=float, default=None)
 
-    add_scenario_cmd("total", cmd_total, "summed cross section")
-    add_scenario_cmd("elastic", cmd_elastic, "field-free Mott-Born value")
+    add_scenario_cmd("total", cmd_value, "summed cross section")
+    add_scenario_cmd("elastic", cmd_value, "field-free Mott-Born value")
     add_scenario_cmd("ksweep", cmd_ksweep, "total vs intensity parameter K")
 
     p = sub.add_parser("gbessel", help="generalized Bessel debug evaluation")

@@ -160,6 +160,5 @@ def xs_oracle(scenario, n):
         )
 
     ut = u_tilde(scenario.potential, channel.q_n)
-    pivec_mag = float(np.linalg.norm(dressed.Pi.vec3))
-    value_nat = channel.Pi_n * ut**2 / (FOUR_PI_SQ * pivec_mag) * trace.real
+    value_nat = channel.Pi_n * ut**2 / (FOUR_PI_SQ * dressed.pivec_mag) * trace.real
     return xs_to_atomic_units(value_nat)

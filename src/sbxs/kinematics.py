@@ -12,7 +12,7 @@ quasimomentum magnitude Pi_n = sqrt(Pivec^2 + n*omega*(2*Pi0 + n*omega)).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,8 +104,7 @@ class LaserField:
         return cls(omega, zeta, K * ELECTRON_MASS_EV, e1, e2, khat)
 
     def with_K(self, K):
-        return LaserField(self.omega, self.zeta, K * ELECTRON_MASS_EV,
-                          self.e1, self.e2, self.khat)
+        return replace(self, a0bar=K * ELECTRON_MASS_EV)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,10 +216,6 @@ class Channel:
     alpha2: float
     theta1: float
     beta2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rhat", _vec(self.rhat))
-        object.__setattr__(self, "q_n", _vec(self.q_n))
 
 
 def open_channel(dressed, n, rhat, laser):

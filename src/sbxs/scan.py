@@ -29,7 +29,9 @@ from .xsection import (
 )
 
 TAIL_CUT_DEFAULT = 1.0e-8
-MARGIN_FACTOR_DEFAULT = 10.0
+# The auto range runs past alpha1 + MARGIN_FACTOR * (alpha1^(1/3) + 1), the
+# Bessel-support margin, before the tail cut may end it.
+MARGIN_FACTOR = 10.0
 
 # Channels per side in each block of the auto range after the first, which
 # reaches the Bessel-support margin of alpha1(0).
@@ -54,8 +56,9 @@ def partial(scenario, n):
         except LinearPathUnstableError:
             return partial_xs_general(scenario, n)
     if formula == "oracle":
-        general = partial_xs_general(scenario, n)
-        return PartialXS.from_terms(n, general.alpha1, general.q2,
+        channel = scenario.channel(n)
+        return PartialXS.from_terms(n, channel.alpha1,
+                                    float(np.dot(channel.q_n, channel.q_n)),
                                     xs_oracle(scenario, n))
     # nonrel
     value, a1, q2 = _nonrel_eval(scenario, n)
@@ -72,17 +75,17 @@ class Envelope:
     total: float
 
 
-def _margin(alpha1, margin_factor):
-    return alpha1 + margin_factor * (alpha1 ** (1.0 / 3.0) + 1.0)
+def _margin(alpha1):
+    return alpha1 + MARGIN_FACTOR * (alpha1 ** (1.0 / 3.0) + 1.0)
 
 
-def _tail_done(px, vmax, tail_cut, margin_factor):
-    return px.value < tail_cut * vmax and abs(px.n) > _margin(px.alpha1, margin_factor)
+def _tail_done(px, vmax, tail_cut):
+    return px.value < tail_cut * vmax and abs(px.n) > _margin(px.alpha1)
 
 
-def _block(scenario, ns, cut):
-    """Open channels of ns, in order; a closed channel is skipped or, with
-    cut, ends the block.  Returns (entries, whether a channel was closed).
+def _block(scenario, ns):
+    """Open channels of ns, in order, closed ones skipped.  Returns
+    (entries, whether a channel was closed).
 
     The general formula builds the Bessel rows of the whole block at once;
     the other formulas evaluate each channel through partial.
@@ -94,8 +97,6 @@ def _block(scenario, ns, cut):
             opened.append(scenario.channel(n) if general else partial(scenario, n))
         except ChannelClosedError:
             closed = True
-            if cut:
-                break
     if general:
         opened = partial_xs_general_batch(scenario, opened)
     return opened, closed
@@ -104,10 +105,11 @@ def _block(scenario, ns, cut):
 def _outward(scenario, step, reach):
     """Entries of channels step, 2*step, ... outward, up to the first
     closed one, evaluated as iterated: reach channels, then BLOCK_EXTEND
-    channels at a time."""
+    channels at a time.  A channel closes only below a threshold n, so
+    every channel past a closed one is closed too."""
     n, size = step, reach
     while True:
-        entries, closed = _block(scenario, range(n, n + step * size, step), cut=True)
+        entries, closed = _block(scenario, range(n, n + step * size, step))
         yield from entries
         if closed:
             return
@@ -115,8 +117,7 @@ def _outward(scenario, step, reach):
         size = BLOCK_EXTEND
 
 
-def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT,
-             margin_factor=MARGIN_FACTOR_DEFAULT):
+def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
     """Channel envelope; auto range expands from n = 0 until the tail is
     below tail_cut * peak AND |n| clears the Bessel support margin.
 
@@ -128,7 +129,7 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT,
         raise DomainError(f"tail_cut must lie in (0, 1), got {tail_cut}")
     if n_range is not None:
         n_min, n_max = int(n_range[0]), int(n_range[1])
-        entries, _ = _block(scenario, range(n_min, n_max + 1), cut=False)
+        entries, _ = _block(scenario, range(n_min, n_max + 1))
         if not entries:
             raise ChannelClosedError(n_min, "no open channels in range")
         return _finish_envelope(entries)
@@ -137,13 +138,13 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT,
     if scenario.laser.a0bar == 0.0:
         return _finish_envelope([values[0]])
 
-    reach = int(_margin(values[0].alpha1, margin_factor)) + 1
+    reach = int(_margin(values[0].alpha1)) + 1
     vmax = values[0].value
     for step in (1, -1):
         for px in _outward(scenario, step, reach):
             values[px.n] = px
             vmax = max(vmax, px.value)
-            if _tail_done(px, vmax, tail_cut, margin_factor):
+            if _tail_done(px, vmax, tail_cut):
                 break
 
     # Canonical trim against the final global peak: keep each side up to the
@@ -157,9 +158,8 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT,
             if n not in values:
                 break
             kept.append(values[n])
-            if _tail_done(values[n], vmax, tail_cut, margin_factor):
+            if _tail_done(values[n], vmax, tail_cut):
                 break
-    kept.sort(key=lambda px: px.n)
     return _finish_envelope(kept)
 
 
@@ -179,10 +179,9 @@ def _finish_envelope(entries):
     )
 
 
-def total_xs(scenario, tail_cut=TAIL_CUT_DEFAULT,
-             margin_factor=MARGIN_FACTOR_DEFAULT):
+def total_xs(scenario, tail_cut=TAIL_CUT_DEFAULT):
     """Sum of the auto-ranged envelope (dsigma/dOmega over all channels)."""
-    return envelope(scenario, tail_cut=tail_cut, margin_factor=margin_factor).total
+    return envelope(scenario, tail_cut=tail_cut).total
 
 
 @dataclass(frozen=True)
@@ -217,12 +216,13 @@ def k_sweep(scenario, k_grid, tail_cut=TAIL_CUT_DEFAULT):
     return points
 
 
-def random_scenarios(seed, count, potential=None, kinetic_energy=2700.0,
-                     omega=1.17):
-    """Deterministic stream of randomized comparison scenarios spanning
-    zeta {0, 0.5, 1}, K {0.01, 0.17, 0.8}, deflections {0.6, 6, 60} mrad and
-    parallel/antiparallel/oblique electron directions."""
-    pot = potential if potential is not None else PotentialFT.screened_coulomb_au(1.0, 4.0)
+def random_scenarios(seed, count):
+    """Deterministic stream of randomized comparison scenarios of a 2.7 keV
+    electron in a 1.17 eV wave on the Za = 1, 4 bohr screened Coulomb
+    potential, spanning zeta {0, 0.5, 1}, K {0.01, 0.17, 0.8}, deflections
+    {0.6, 6, 60} mrad and parallel/antiparallel/oblique electron
+    directions."""
+    pot = PotentialFT.screened_coulomb_au(1.0, 4.0)
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -238,11 +238,11 @@ def random_scenarios(seed, count, potential=None, kinetic_energy=2700.0,
             vec = rng.normal(size=3)
             direction = tuple(vec / np.linalg.norm(vec))
         azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
-        laser = LaserField.from_K(omega, K, zeta)
+        laser = LaserField.from_K(1.17, K, zeta)
         out.append(
             Scenario(
                 laser=laser,
-                kinetic_energy=kinetic_energy,
+                kinetic_energy=2700.0,
                 direction=direction,
                 potential=pot,
                 deflection=defl,

@@ -9,7 +9,6 @@ boundary.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -25,19 +24,6 @@ HC_EV_NM = 1_239.841_984                 # h*c [eV nm], photon energy*wavelength
 
 # Energy flux: 1 eV^4 (natural units) expressed in W/cm^2.
 EV4_W_CM2 = EV_JOULE / (HBAR_EV_S * HBARC_EV_CM**2)
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Immutable constant set used throughout the package."""
-
-    electron_mass: float = ELECTRON_MASS_EV
-    fine_structure: float = FINE_STRUCTURE
-    hartree: float = HARTREE_EV
-    bohr_radius_inverse: float = BOHR_INV_EV
-
-
-CONSTANTS = Constants()
 
 
 def intensity_to_K(intensity_w_cm2, photon_energy_ev):

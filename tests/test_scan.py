@@ -82,9 +82,10 @@ def test_emission_thresholds(pot_fig):
     assert envelope(s_rel).entries[0].n < -23
 
 
-def test_total_converged_against_wider_margins(fig1a):
+def test_total_converged_against_wider_margins(fig1a, monkeypatch):
     a = total_xs(fig1a)
-    b = total_xs(fig1a, tail_cut=1e-16, margin_factor=20.0)
+    monkeypatch.setattr(scan, "MARGIN_FACTOR", 20.0)
+    b = total_xs(fig1a, tail_cut=1e-16)
     assert a == pytest.approx(b, rel=1e-6)
 
 

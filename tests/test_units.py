@@ -5,7 +5,6 @@ import pytest
 from sbxs.errors import DomainError
 from sbxs.units import (
     BOHR_INV_EV,
-    CONSTANTS,
     ELECTRON_MASS_EV,
     FINE_STRUCTURE,
     K_to_intensity,
@@ -18,8 +17,8 @@ from sbxs.units import (
 
 
 def test_constants_consistent():
-    assert CONSTANTS.bohr_radius_inverse == ELECTRON_MASS_EV * FINE_STRUCTURE
-    assert CONSTANTS.electron_mass == pytest.approx(510998.95)
+    assert BOHR_INV_EV == ELECTRON_MASS_EV * FINE_STRUCTURE
+    assert ELECTRON_MASS_EV == pytest.approx(510998.95)
 
 
 def test_k_anchor_nd_laser():
