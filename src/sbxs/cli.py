@@ -58,12 +58,19 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _number(kind, value, what):
-    """kind(value) for kind float or int, a ConfigError if it fails."""
+def _number(value, what):
+    """float(value), a ConfigError if it fails."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
+def _integer(value, what):
+    """An integral number as int, a ConfigError if it is not one."""
+    number = _number(value, what)
+    _require(number.is_integer(), f"{what} must be an integer, got {value!r}")
+    return int(number)
 
 
 def load_config(path):
@@ -102,12 +109,12 @@ def resolve_config(cfg, k_override=None):
     _require(has_i != has_k, "laser: exactly one of intensity_W_cm2 / K")
 
     _require("kinetic_energy_eV" in elec_c, "electron: kinetic_energy_eV missing")
-    ek = _number(float, elec_c["kinetic_energy_eV"], "electron: kinetic_energy_eV")
+    ek = _number(elec_c["kinetic_energy_eV"], "electron: kinetic_energy_eV")
     _require(ek > 0.0, "electron: kinetic energy must be > 0")
     direction = elec_c.get("direction", [0.0, 0.0, 1.0])
     _require(isinstance(direction, (list, tuple)) and len(direction) == 3,
              "electron: direction must be a 3-vector")
-    direction = [_number(float, c, "electron: direction") for c in direction]
+    direction = [_number(c, "electron: direction") for c in direction]
 
     has_r = "screening_radius_au" in pot_c
     has_t = "table_path" in pot_c
@@ -116,14 +123,14 @@ def resolve_config(cfg, k_override=None):
     _require(has_t or "Za" in pot_c, "potential: Za missing")
 
     _require("deflection_mrad" in geo_c, "geometry: deflection_mrad missing")
-    deflection_mrad = _number(float, geo_c["deflection_mrad"],
+    deflection_mrad = _number(geo_c["deflection_mrad"],
                               "geometry: deflection_mrad")
     _require(deflection_mrad > 0.0, "geometry: deflection_mrad must be > 0")
-    azimuth_deg = _number(float, geo_c.get("azimuth_deg", 0.0),
+    azimuth_deg = _number(geo_c.get("azimuth_deg", 0.0),
                           "geometry: azimuth_deg")
 
     formula = str(run_c.get("formula", "general"))
-    tail_cut = _number(float, run_c.get("tail_cut", TAIL_CUT_DEFAULT),
+    tail_cut = _number(run_c.get("tail_cut", TAIL_CUT_DEFAULT),
                        "run: tail_cut")
     _require(0.0 < tail_cut < 1.0, "run: tail_cut must lie in (0, 1)")
 
@@ -165,10 +172,10 @@ def resolve_config(cfg, k_override=None):
     }
     for key in ("n", "n_min", "n_max"):
         if key in run_c:
-            resolved["run"][key] = _number(int, run_c[key], f"run: {key}")
+            resolved["run"][key] = _integer(run_c[key], f"run: {key}")
     if "k_grid" in run_c:
         _require(isinstance(run_c["k_grid"], list), "run: k_grid must be a list")
-        resolved["run"]["k_grid"] = [_number(float, k, "run: k_grid")
+        resolved["run"]["k_grid"] = [_number(k, "run: k_grid")
                                      for k in run_c["k_grid"]]
     for key in ("output_format", "output_path"):
         if key in run_c:
@@ -236,7 +243,7 @@ def cmd_partial(args):
     resolved, scenario, run = resolve_config(load_config(args.config), args.K)
     n = args.n if args.n is not None else run.get("n")
     _require(n is not None, "partial: photon number n missing (flag --n or run.n)")
-    px = partial(scenario, int(n))
+    px = partial(scenario, n)
     fmt = args.format or run.get("output_format", "csv")
     if fmt == "json":
         text = _json_text({"config": resolved, "kind": "partial",
@@ -259,7 +266,8 @@ def cmd_envelope(args):
     if n_min is not None or n_max is not None:
         _require(n_min is not None and n_max is not None,
                  "envelope: give both n_min and n_max or neither")
-        n_range = (int(n_min), int(n_max))
+        _require(n_min <= n_max, "envelope: n_min must not exceed n_max")
+        n_range = (n_min, n_max)
     env = envelope(scenario, n_range=n_range, tail_cut=run["tail_cut"])
     fmt = args.format or run.get("output_format", "csv")
     _emit(_envelope_payload(resolved, env, fmt),
@@ -282,7 +290,10 @@ def cmd_ksweep(args):
     resolved, scenario, run = resolve_config(load_config(args.config), args.K)
     k_grid = run.get("k_grid")
     _require(k_grid, "ksweep: run.k_grid missing or empty")
-    points = k_sweep(scenario, k_grid, tail_cut=run["tail_cut"])
+    try:
+        points = k_sweep(scenario, k_grid, tail_cut=run["tail_cut"])
+    except DomainError as exc:  # the grid check; per-K errors are records
+        raise ConfigError(str(exc))
     bad = [p for p in points if p.error]
     rows = [(p.K, p.total) for p in points]
     text = _rows_csv(config_header(resolved, "ksweep"), KSWEEP_COLUMNS, rows)
@@ -506,15 +517,16 @@ def build_parser():
         p.add_argument("--K", type=float, default=None,
                        help="override the field-strength parameter K")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
         p.set_defaults(fn=fn)
         return p
 
     p = add_scenario_cmd("partial", cmd_partial, "one photon channel")
+    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--n", type=int, default=None, help="photon number")
 
     p = add_scenario_cmd("envelope", cmd_envelope,
                          "partial cross sections vs photon number")
+    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--tail-cut", type=float, default=None)

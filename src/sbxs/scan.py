@@ -129,6 +129,8 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
         raise DomainError(f"tail_cut must lie in (0, 1), got {tail_cut}")
     if n_range is not None:
         n_min, n_max = int(n_range[0]), int(n_range[1])
+        if n_min > n_max:
+            raise DomainError(f"n_range {n_range} has n_min > n_max")
         entries, _ = _block(scenario, range(n_min, n_max + 1))
         if not entries:
             raise ChannelClosedError(n_min, "no open channels in range")

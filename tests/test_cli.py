@@ -55,6 +55,12 @@ def test_wavelength_and_k_input(tmp_path):
     assert scenario.laser.K == 0.17
 
 
+def _on(command, mutate):
+    """A bad-config input that only `command` reads (default: total)."""
+    mutate.command = command
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -95,6 +101,11 @@ def test_wavelength_and_k_input(tmp_path):
         lambda c: c["run"].update(n_max="abc"),
         lambda c: c["run"].update(k_grid=["x"]),
         lambda c: c["run"].update(k_grid=0.5),
+        # photon numbers must be integers, ranges ascending, K grids valid
+        lambda c: c["run"].update(n=3.7),
+        _on("envelope", lambda c: c["run"].update(n_min=5, n_max=2)),
+        _on("ksweep", lambda c: c["run"].update(k_grid=[0.2, 2.0])),
+        _on("ksweep", lambda c: c["run"].update(k_grid=[0.3, 0.1])),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):
@@ -102,7 +113,8 @@ def test_bad_configs_exit_2(tmp_path, capsys, mutate):
     mutate(cfg)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    code, _, err = _run(capsys, ["total", "--config", str(path)])
+    command = getattr(mutate, "command", "total")
+    code, _, err = _run(capsys, [command, "--config", str(path)])
     assert code == 2
     assert "config error" in err
 
@@ -118,6 +130,14 @@ def test_tail_cut_flag_checked_and_echoed(capsys, cfg_path):
     assert code == 0
     header = [l for l in out.splitlines() if l.startswith("# config: ")]
     assert json.loads(header[0][len("# config: "):])["run"]["tail_cut"] == 1e-3
+
+
+def test_format_only_on_partial_and_envelope(capsys, cfg_path):
+    for command in ("total", "elastic", "ksweep"):
+        with pytest.raises(SystemExit) as exc:  # argparse: unknown flag
+            main([command, "--config", cfg_path, "--format", "json"])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_missing_config_file_exit_2(capsys):

@@ -61,6 +61,12 @@ def test_envelope_explicit_range(fig1a):
     assert [px.n for px in env.entries] == list(range(-3, 4))
 
 
+def test_envelope_reversed_range_is_a_domain_error(fig1a):
+    with pytest.raises(DomainError) as exc:
+        envelope(fig1a, n_range=(5, 2))
+    assert not isinstance(exc.value, ChannelClosedError)
+
+
 def test_envelope_explicit_range_skips_closed(pot_fig):
     # 27 eV electron: emission channels close at n = -24
     s = make_scenario(pot_fig, K=0.01, zeta=1.0, ek=27.0)
@@ -105,6 +111,19 @@ def test_partial_formula_dispatch(pot_fig, k_fig):
         assert partial(s, -4).value == pytest.approx(
             partial(ref, -4).value, rel=1e-8
         )
+
+
+def test_partial_oracle_does_not_run_the_general_path(pot_fig, k_fig,
+                                                     monkeypatch):
+    s = make_scenario(pot_fig, K=k_fig, zeta=1.0, formula="oracle")
+    expected = partial(s, -4)
+    ref = partial_xs_general(make_scenario(pot_fig, K=k_fig, zeta=1.0), -4)
+    assert (expected.alpha1, expected.q2) == (ref.alpha1, ref.q2)
+
+    def refuse(*args):
+        raise AssertionError("oracle formula ran partial_xs_general")
+    monkeypatch.setattr(scan, "partial_xs_general", refuse)
+    assert partial(s, -4) == expected
 
 
 def test_partial_linear_falls_back_to_general(pot_fig):
