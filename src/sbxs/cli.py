@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: partial, envelope, total, ksweep, elastic, gbessel, verify,
-plot.  Scenarios come from a JSON config file (schema below); every CSV
-artifact embeds the fully-resolved configuration in a header comment so a
-run can be reproduced from its output alone.
+plot.  A JSON config (schema below, no other keys) describes the
+computation; every CSV artifact embeds it, fully resolved, in a header
+comment so a run can be reproduced from its output alone.  --K and
+--tail-cut are written into the config; the other flags pick the rows
+and where they go.
 
 Config schema:
 
@@ -15,9 +17,7 @@ Config schema:
       "potential": {"Za": 1.0,
                     "screening_radius_au": 4.0 | "table_path": "..."},
       "geometry":  {"deflection_mrad": 0.6, "azimuth_deg": 0.0},
-      "run":       {"formula": "general", "n": 0, "n_min": ..., "n_max": ...,
-                    "k_grid": [...], "tail_cut": 1e-8,
-                    "output_format": "csv", "output_path": "..."}
+      "run":       {"formula": "general", "k_grid": [...], "tail_cut": 1e-8}
     }
 
 Exit codes: 0 success, 2 config error, 3 closed-channel/domain error,
@@ -51,6 +51,15 @@ from .xsection import Scenario, elastic_born
 
 ENVELOPE_COLUMNS = "n,dsigma_au,alpha1,q2_au,term_main,term_recoil,term_wave"
 KSWEEP_COLUMNS = "K,total_au"
+# The sections and keys a config may hold; resolve_config rejects any other.
+SCHEMA = {
+    "laser": ("photon_energy_eV", "wavelength_nm", "intensity_W_cm2", "K",
+              "zeta"),
+    "electron": ("kinetic_energy_eV", "direction"),
+    "potential": ("Za", "screening_radius_au", "table_path"),
+    "geometry": ("deflection_mrad", "azimuth_deg"),
+    "run": ("formula", "k_grid", "tail_cut"),
+}
 
 
 def _require(cond, message):
@@ -66,13 +75,6 @@ def _number(value, what):
         raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
-def _integer(value, what):
-    """An integral number as int, a ConfigError if it is not one."""
-    number = _number(value, what)
-    _require(number.is_integer(), f"{what} must be an integer, got {value!r}")
-    return int(number)
-
-
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -83,7 +85,30 @@ def load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
 
 
-def resolve_config(cfg, k_override=None):
+def _check_schema(cfg):
+    """A ConfigError naming the first section or key SCHEMA does not know."""
+    _require(isinstance(cfg, dict), "config must be a JSON object")
+    for section, body in cfg.items():
+        _require(section in SCHEMA, f"unknown config section {section!r}")
+        _require(isinstance(body, dict), f"{section}: must be a JSON object")
+        for key in body:
+            _require(key in SCHEMA[section], f"{section}: unknown key {key!r}")
+
+
+def _config_with_flags(args):
+    """The config file with --K and --tail-cut written into it, so that
+    resolve_config checks and echoes them like the file's own values."""
+    cfg = load_config(args.config)
+    _check_schema(cfg)
+    if args.K is not None and "laser" in cfg:
+        cfg["laser"].pop("intensity_W_cm2", None)
+        cfg["laser"]["K"] = args.K
+    if getattr(args, "tail_cut", None) is not None:
+        cfg.setdefault("run", {})["tail_cut"] = args.tail_cut
+    return cfg
+
+
+def resolve_config(cfg):
     """Validate and normalize a raw config dict.
 
     Returns (resolved_dict, Scenario, run_options).  The resolved dict is
@@ -91,7 +116,7 @@ def resolve_config(cfg, k_override=None):
     strength as K, angles as given.  units, PotentialFT, LaserField and
     Scenario check the ranges; their errors become a ConfigError.
     """
-    _require(isinstance(cfg, dict), "config must be a JSON object")
+    _check_schema(cfg)
     for section in ("laser", "electron", "potential", "geometry"):
         _require(section in cfg, f"config section {section!r} missing")
     laser_c = cfg["laser"]
@@ -139,8 +164,6 @@ def resolve_config(cfg, k_override=None):
                  else units.wavelength_nm_to_ev(float(laser_c["wavelength_nm"])))
         K = (units.intensity_to_K(float(laser_c["intensity_W_cm2"]), omega)
              if has_i else float(laser_c["K"]))
-        if k_override is not None:
-            K = float(k_override)
         zeta = float(laser_c.get("zeta", 0.0))
         if has_r:
             za = float(pot_c["Za"])
@@ -170,16 +193,10 @@ def resolve_config(cfg, k_override=None):
                      "azimuth_deg": azimuth_deg},
         "run": {"formula": formula, "tail_cut": tail_cut},
     }
-    for key in ("n", "n_min", "n_max"):
-        if key in run_c:
-            resolved["run"][key] = _integer(run_c[key], f"run: {key}")
     if "k_grid" in run_c:
         _require(isinstance(run_c["k_grid"], list), "run: k_grid must be a list")
         resolved["run"]["k_grid"] = [_number(k, "run: k_grid")
                                      for k in run_c["k_grid"]]
-    for key in ("output_format", "output_path"):
-        if key in run_c:
-            resolved["run"][key] = str(run_c[key])
     return resolved, scenario, resolved["run"]
 
 
@@ -208,14 +225,6 @@ def _px_entry(px):
     return dict(zip(ENVELOPE_COLUMNS.split(","), values))
 
 
-def _px_row(px):
-    return tuple(_px_entry(px).values())
-
-
-def _json_text(doc):
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
 def _emit(text, output_path):
     if output_path:
         with open(output_path, "w", encoding="utf-8") as fh:
@@ -224,70 +233,55 @@ def _emit(text, output_path):
         sys.stdout.write(text)
 
 
-def _envelope_payload(resolved, env, fmt):
+def _payload(resolved, kind, channels, fmt, **fields):
+    """The channels as CSV rows under the config header, or for fmt "json"
+    one document of the config, the kind and the given fields."""
     if fmt == "json":
-        doc = {
-            "config": resolved,
-            "kind": "envelope",
-            "n_peak": env.n_peak,
-            "alpha1_at_peak": env.alpha1_at_peak,
-            "total_au": env.total,
-            "entries": [_px_entry(px) for px in env.entries],
-        }
-        return _json_text(doc)
-    rows = [_px_row(px) for px in env.entries]
-    return _rows_csv(config_header(resolved, "envelope"), ENVELOPE_COLUMNS, rows)
+        doc = dict(fields, config=resolved, kind=kind)
+        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    rows = [tuple(_px_entry(px).values()) for px in channels]
+    return _rows_csv(config_header(resolved, kind), ENVELOPE_COLUMNS, rows)
 
 
 def cmd_partial(args):
-    resolved, scenario, run = resolve_config(load_config(args.config), args.K)
-    n = args.n if args.n is not None else run.get("n")
-    _require(n is not None, "partial: photon number n missing (flag --n or run.n)")
-    px = partial(scenario, n)
-    fmt = args.format or run.get("output_format", "csv")
-    if fmt == "json":
-        text = _json_text({"config": resolved, "kind": "partial",
-                           "entry": _px_entry(px)})
-    else:
-        text = _rows_csv(config_header(resolved, "partial"),
-                         ENVELOPE_COLUMNS, [_px_row(px)])
-    _emit(text, args.output or run.get("output_path"))
+    resolved, scenario, _ = resolve_config(_config_with_flags(args))
+    px = partial(scenario, args.n)
+    _emit(_payload(resolved, "partial", [px], args.format,
+                   entry=_px_entry(px)), args.output)
     return 0
 
 
 def cmd_envelope(args):
-    cfg = load_config(args.config)
-    if args.tail_cut is not None and isinstance(cfg, dict):
-        cfg["run"] = dict(cfg.get("run", {}), tail_cut=args.tail_cut)
-    resolved, scenario, run = resolve_config(cfg, args.K)
-    n_min = args.n_min if args.n_min is not None else run.get("n_min")
-    n_max = args.n_max if args.n_max is not None else run.get("n_max")
+    resolved, scenario, run = resolve_config(_config_with_flags(args))
     n_range = None
-    if n_min is not None or n_max is not None:
-        _require(n_min is not None and n_max is not None,
-                 "envelope: give both n_min and n_max or neither")
-        _require(n_min <= n_max, "envelope: n_min must not exceed n_max")
-        n_range = (n_min, n_max)
+    if args.n_min is not None or args.n_max is not None:
+        _require(args.n_min is not None and args.n_max is not None,
+                 "envelope: give both --n-min and --n-max or neither")
+        _require(args.n_min <= args.n_max,
+                 "envelope: --n-min must not exceed --n-max")
+        n_range = (args.n_min, args.n_max)
     env = envelope(scenario, n_range=n_range, tail_cut=run["tail_cut"])
-    fmt = args.format or run.get("output_format", "csv")
-    _emit(_envelope_payload(resolved, env, fmt),
-          args.output or run.get("output_path"))
+    _emit(_payload(resolved, "envelope", env.entries, args.format,
+                   n_peak=env.n_peak, alpha1_at_peak=env.alpha1_at_peak,
+                   total_au=env.total,
+                   entries=[_px_entry(px) for px in env.entries]),
+          args.output)
     return 0
 
 
 def cmd_value(args):
     """total or elastic: one number on one line."""
-    _, scenario, run = resolve_config(load_config(args.config), args.K)
+    _, scenario, run = resolve_config(_config_with_flags(args))
     if args.command == "total":
         value = total_xs(scenario, tail_cut=run["tail_cut"])
     else:
         value = elastic_born(scenario)
-    _emit(f"{_fmt(value)}\n", args.output or run.get("output_path"))
+    _emit(f"{_fmt(value)}\n", args.output)
     return 0
 
 
 def cmd_ksweep(args):
-    resolved, scenario, run = resolve_config(load_config(args.config), args.K)
+    resolved, scenario, run = resolve_config(_config_with_flags(args))
     k_grid = run.get("k_grid")
     _require(k_grid, "ksweep: run.k_grid missing or empty")
     try:
@@ -299,7 +293,7 @@ def cmd_ksweep(args):
     text = _rows_csv(config_header(resolved, "ksweep"), KSWEEP_COLUMNS, rows)
     for p in bad:
         text += f"# error K={_fmt(p.K)}: {p.error}\n"
-    _emit(text, args.output or run.get("output_path"))
+    _emit(text, args.output)
     return 0
 
 
@@ -515,18 +509,18 @@ def build_parser():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--K", type=float, default=None,
-                       help="override the field-strength parameter K")
+                       help="set laser.K (drops laser.intensity_W_cm2)")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.set_defaults(fn=fn)
         return p
 
     p = add_scenario_cmd("partial", cmd_partial, "one photon channel")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--n", type=int, default=None, help="photon number")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--n", type=int, required=True, help="photon number")
 
     p = add_scenario_cmd("envelope", cmd_envelope,
                          "partial cross sections vs photon number")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--tail-cut", type=float, default=None)
