@@ -207,7 +207,6 @@ class Channel:
     n: int
     Pi0_final: float
     Pi_n: float
-    rhat: np.ndarray
     q_n: np.ndarray
     p_final: FourVector
     Z_final: float
@@ -260,7 +259,6 @@ def open_channel(dressed, n, rhat, laser):
         n=n,
         Pi0_final=Pi0f,
         Pi_n=Pi_n,
-        rhat=r,
         q_n=q,
         p_final=p_final,
         Z_final=Zf,

@@ -76,11 +76,6 @@ def screening_chi_ev(radius_au):
     return BOHR_INV_EV / radius_au
 
 
-def momentum_au_to_ev(q_au):
-    """Momentum in atomic units (1/bohr) to eV."""
-    return q_au * BOHR_INV_EV
-
-
 def momentum_ev_to_au(q_ev):
     """Momentum in eV to atomic units (1/bohr)."""
     return q_ev / BOHR_INV_EV
