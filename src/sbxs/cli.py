@@ -310,8 +310,11 @@ def cmd_gbessel(args):
 
 
 def cmd_verify(args):
-    max_dev, records = oracle_deviation_sweep(seed=args.seed,
-                                              samples=args.samples)
+    try:
+        max_dev, records = oracle_deviation_sweep(seed=args.seed,
+                                                  samples=args.samples)
+    except DomainError as exc:  # a sample count below 1
+        raise ConfigError(str(exc))
     sys.stdout.write(
         f"verify: {len(records)} randomized open channels, seed {args.seed}\n"
         f"max relative deviation closed-form vs spinor oracle: {max_dev!r}\n"
@@ -451,19 +454,22 @@ def _read_csv_artifact(path):
     kind = None
     header = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# sbxs "):
-                    kind = line[len("# sbxs "):].strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append([float(c) for c in line.split(",")])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    if line.startswith("# sbxs "):
+                        kind = line[len("# sbxs "):].strip()
+                    continue
+                if header is None:
+                    header = line.split(",")
+                    continue
+                rows.append([float(c) for c in line.split(",")])
+    except (OSError, ValueError) as exc:  # unreadable, or a non-numeric row
+        raise ConfigError(f"cannot read {path}: {exc}")
     if header is None or not rows:
         raise ConfigError(f"{path}: no data rows found")
     return kind, header, rows

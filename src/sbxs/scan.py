@@ -264,6 +264,8 @@ def oracle_deviation_sweep(seed=0, samples=200):
     in the suppressed tail are not defined to 1e-8 relative in double
     precision by any formulation (and carry no weight in any observable).
     """
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     scenarios = random_scenarios(seed, samples)
     rng = np.random.default_rng(seed + 1)
     records = []

@@ -1,8 +1,13 @@
 import json
+import pathlib
+import re
 
 import pytest
 
-from sbxs.cli import main, resolve_config
+from sbxs.cli import SCHEMA, main, resolve_config
+from sbxs.errors import ConfigError
+
+HERE = pathlib.Path(__file__).resolve().parent
 
 FIG1A = {
     "laser": {"photon_energy_eV": 1.17, "intensity_W_cm2": 3.5e16, "zeta": 1.0},
@@ -47,6 +52,46 @@ def test_resolve_config_round_trip(cfg_path):
     assert again == resolved
 
 
+def test_resolve_config_rejects_unknown_keys():
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg["run"]["n_min"] = -3  # a removed key: it no longer sets the range
+    with pytest.raises(ConfigError, match="n_min"):
+        resolve_config(cfg)
+
+
+def _embedded_config(path):
+    """The config a CSV or JSON output file echoes."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["config"]
+    header = next(l for l in text.splitlines() if l.startswith("# config: "))
+    return json.loads(header[len("# config: "):])
+
+
+def test_golden_configs_resolve_to_themselves():
+    paths = [p for p in sorted((HERE / "golden").iterdir())
+             if p.suffix in (".csv", ".json")]
+    assert len(paths) == 13
+    for path in paths:
+        config = _embedded_config(path)
+        resolved, _, _ = resolve_config(config)
+        assert resolved == config, path.name
+
+
+def _readme_cli_section():
+    text = (HERE.parent / "README.md").read_text()
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_config_follows_the_schema():
+    section = _readme_cli_section()
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    resolve_config(json.loads(block))
+    for name, keys in SCHEMA.items():
+        for key in (name, *keys):
+            assert f"`{key}`" in section, key
+
+
 def test_wavelength_and_k_input(tmp_path):
     cfg = json.loads(json.dumps(FIG1A))
     cfg["laser"] = {"wavelength_nm": 1059.69, "K": 0.17, "zeta": 1.0}
@@ -55,9 +100,10 @@ def test_wavelength_and_k_input(tmp_path):
     assert scenario.laser.K == 0.17
 
 
-def _on(command, mutate):
-    """A bad-config input that only `command` reads (default: total)."""
-    mutate.command = command
+def _on(command, mutate, *flags, names=None):
+    """A bad input that only `command` reads (default: total), run with the
+    extra flags; the error message must contain `names`."""
+    mutate.command, mutate.flags, mutate.names = command, flags, names
     return mutate
 
 
@@ -71,8 +117,8 @@ def _on(command, mutate):
         lambda c: c["geometry"].update(deflection_mrad=-1.0),
         lambda c: c["electron"].update(direction=[0, 0]),
         lambda c: c["potential"].pop("screening_radius_au"),
-        lambda c: c["run"].update(formula="circular", __post=None) or
-                  c["laser"].update(zeta=0.5),
+        _on("total", lambda c: c["run"].update(formula="circular") or
+                               c["laser"].update(zeta=0.5), names="zeta"),
         # checked by Scenario / LaserField, reported as config errors
         lambda c: c["run"].update(formula="linear"),          # zeta = 1
         lambda c: c["run"].update(formula="bogus"),
@@ -96,16 +142,23 @@ def _on(command, mutate):
         lambda c: c["geometry"].update(deflection_mrad="abc"),
         lambda c: c["geometry"].update(azimuth_deg=None),
         lambda c: c["run"].update(tail_cut="abc"),
-        lambda c: c["run"].update(n="abc"),
-        lambda c: c["run"].update(n_min=[1]),
-        lambda c: c["run"].update(n_max="abc"),
         lambda c: c["run"].update(k_grid=["x"]),
         lambda c: c["run"].update(k_grid=0.5),
-        # photon numbers must be integers, ranges ascending, K grids valid
-        lambda c: c["run"].update(n=3.7),
-        _on("envelope", lambda c: c["run"].update(n_min=5, n_max=2)),
+        # photon numbers are flags: required, paired, ascending
+        _on("partial", lambda c: None, names="--n"),
+        _on("envelope", lambda c: None, "--n-min", "5", names="--n-max"),
+        _on("envelope", lambda c: None, "--n-min", "5", "--n-max", "2",
+            names="--n-min"),
+        # K grids valid
         _on("ksweep", lambda c: c["run"].update(k_grid=[0.2, 2.0])),
         _on("ksweep", lambda c: c["run"].update(k_grid=[0.3, 0.1])),
+        # unknown keys and sections, a removed run key among them
+        _on("total", lambda c: c["run"].update(output_path="/nonexistent/o"),
+            names="output_path"),
+        _on("total", lambda c: c["laser"].update(zeeta=1.0), names="zeeta"),
+        _on("total", lambda c: c["geometry"].update(azimuth_degs=0.0),
+            names="azimuth_degs"),
+        _on("total", lambda c: c.update(detector={}), names="detector"),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):
@@ -113,10 +166,17 @@ def test_bad_configs_exit_2(tmp_path, capsys, mutate):
     mutate(cfg)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    command = getattr(mutate, "command", "total")
-    code, _, err = _run(capsys, [command, "--config", str(path)])
+    argv = [getattr(mutate, "command", "total"), "--config", str(path),
+            *getattr(mutate, "flags", ())]
+    try:
+        code, _, err = _run(capsys, argv)
+    except SystemExit as exc:  # argparse: a required flag is missing
+        code, err = exc.code, capsys.readouterr().err
+    else:
+        assert "config error" in err
     assert code == 2
-    assert "config error" in err
+    names = getattr(mutate, "names", None)
+    assert names is None or names in err
 
 
 def test_tail_cut_flag_checked_and_echoed(capsys, cfg_path):
@@ -238,6 +298,13 @@ def test_verify_pass_and_exit_code(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_verify_without_samples_exit_2(capsys, samples):
+    code, out, err = _run(capsys, ["verify", "--samples", samples])
+    assert code == 2
+    assert "config error" in err and "PASS" not in out
+
+
 def test_verify_fail_exit_5(capsys):
     code, out, _ = _run(capsys, ["verify", "--seed", "42", "--samples", "15",
                                  "--tol", "1e-30"])
@@ -303,3 +370,13 @@ def test_plot_rejects_garbage(tmp_path, capsys):
     bad.write_text("a,b\n1,2\n")
     code, _, err = _run(capsys, ["plot", "--input", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("body", [None, "# sbxs envelope\nn,dsigma_au\nx,y\n"])
+def test_plot_unreadable_input_exit_2(tmp_path, capsys, body):
+    path = tmp_path / "in.csv"  # missing when body is None
+    if body is not None:
+        path.write_text(body)
+    code, _, err = _run(capsys, ["plot", "--input", str(path)])
+    assert code == 2
+    assert "config error" in err

@@ -201,6 +201,12 @@ def test_oracle_sweep_deterministic():
     assert a[0] < 1e-8
 
 
+@pytest.mark.parametrize("samples", [-3, 0])
+def test_oracle_sweep_needs_a_sample(samples):
+    with pytest.raises(DomainError):  # an empty sweep would pass vacuously
+        oracle_deviation_sweep(seed=7, samples=samples)
+
+
 # ---------------------------------------------------------------------------
 # envelopes evaluated as blocks of channels
 # ---------------------------------------------------------------------------
