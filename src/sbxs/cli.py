@@ -95,19 +95,6 @@ def _check_schema(cfg):
             _require(key in SCHEMA[section], f"{section}: unknown key {key!r}")
 
 
-def _config_with_flags(args):
-    """The config file with --K and --tail-cut written into it, so that
-    resolve_config checks and echoes them like the file's own values."""
-    cfg = load_config(args.config)
-    _check_schema(cfg)
-    if args.K is not None and "laser" in cfg:
-        cfg["laser"].pop("intensity_W_cm2", None)
-        cfg["laser"]["K"] = args.K
-    if getattr(args, "tail_cut", None) is not None:
-        cfg.setdefault("run", {})["tail_cut"] = args.tail_cut
-    return cfg
-
-
 def resolve_config(cfg):
     """Validate and normalize a raw config dict.
 
@@ -200,6 +187,19 @@ def resolve_config(cfg):
     return resolved, scenario, resolved["run"]
 
 
+def _resolve(args):
+    """resolve_config of the config file with --K and --tail-cut written
+    into it, so that they are checked and echoed like the file's values."""
+    cfg = load_config(args.config)
+    _check_schema(cfg)  # so the sections written below are objects
+    if args.K is not None and "laser" in cfg:
+        cfg["laser"].pop("intensity_W_cm2", None)
+        cfg["laser"]["K"] = args.K
+    if getattr(args, "tail_cut", None) is not None:
+        cfg.setdefault("run", {})["tail_cut"] = args.tail_cut
+    return resolve_config(cfg)
+
+
 def config_header(resolved, kind):
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return f"# sbxs {kind}\n# config: {blob}\n"
@@ -244,7 +244,7 @@ def _payload(resolved, kind, channels, fmt, **fields):
 
 
 def cmd_partial(args):
-    resolved, scenario, _ = resolve_config(_config_with_flags(args))
+    resolved, scenario, _ = _resolve(args)
     px = partial(scenario, args.n)
     _emit(_payload(resolved, "partial", [px], args.format,
                    entry=_px_entry(px)), args.output)
@@ -252,7 +252,7 @@ def cmd_partial(args):
 
 
 def cmd_envelope(args):
-    resolved, scenario, run = resolve_config(_config_with_flags(args))
+    resolved, scenario, run = _resolve(args)
     n_range = None
     if args.n_min is not None or args.n_max is not None:
         _require(args.n_min is not None and args.n_max is not None,
@@ -271,7 +271,7 @@ def cmd_envelope(args):
 
 def cmd_value(args):
     """total or elastic: one number on one line."""
-    _, scenario, run = resolve_config(_config_with_flags(args))
+    _, scenario, run = _resolve(args)
     if args.command == "total":
         value = total_xs(scenario, tail_cut=run["tail_cut"])
     else:
@@ -281,7 +281,7 @@ def cmd_value(args):
 
 
 def cmd_ksweep(args):
-    resolved, scenario, run = resolve_config(_config_with_flags(args))
+    resolved, scenario, run = _resolve(args)
     k_grid = run.get("k_grid")
     _require(k_grid, "ksweep: run.k_grid missing or empty")
     try:
@@ -472,6 +472,8 @@ def _read_csv_artifact(path):
         raise ConfigError(f"cannot read {path}: {exc}")
     if header is None or not rows:
         raise ConfigError(f"{path}: no data rows found")
+    _require(all(len(r) == len(header) for r in rows),
+             f"{path}: a data row does not match the columns {header}")
     return kind, header, rows
 
 

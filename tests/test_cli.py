@@ -372,7 +372,8 @@ def test_plot_rejects_garbage(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("body", [None, "# sbxs envelope\nn,dsigma_au\nx,y\n"])
+@pytest.mark.parametrize("body", [None, "# sbxs envelope\nn,dsigma_au\nx,y\n",
+                                  "# sbxs envelope\nn,dsigma_au\n1,2\n3\n"])
 def test_plot_unreadable_input_exit_2(tmp_path, capsys, body):
     path = tmp_path / "in.csv"  # missing when body is None
     if body is not None:
