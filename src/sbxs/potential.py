@@ -9,10 +9,10 @@ U~(q) = 4*pi*Za*alpha / (q^2 + chi^2) in eV^-2.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .units import FINE_STRUCTURE, HARTREE_EV, BOHR_INV_EV, screening_chi_ev
@@ -33,7 +33,7 @@ class PotentialFT:
     chi: float = 0.0
     q_table: np.ndarray = None
     u_table: np.ndarray = None
-    _interp: PchipInterpolator = field(default=None, repr=False)
+    _interp: object = field(default=None, repr=False)  # callable q -> U~
 
     def __post_init__(self):
         if self.kind == SCREENED_COULOMB:
@@ -59,14 +59,23 @@ class PotentialFT:
         """Load a two-column table `q_au  u_tilde_au` (atomic units).
 
         Interpolation is monotone cubic; evaluation outside the tabulated
-        range is an error.
+        range is an error.  The table is checked here; scipy is imported
+        only after that, so runs without a table never load it.
         """
-        data = np.loadtxt(path, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, ndmin=2)
+        if data.shape[0] < 2:
+            raise DomainError(f"need at least two rows in {path}")
         if data.shape[1] != 2:
             raise DomainError(f"expected two columns in {path}")
+        if not np.all(np.isfinite(data)):
+            raise DomainError(f"non-finite value in {path}")
         q_au, u_au = data[:, 0], data[:, 1]
         if np.any(np.diff(q_au) <= 0.0):
-            raise DomainError("table q values must be strictly increasing")
+            raise DomainError(f"q values must be strictly increasing in {path}")
+        from scipy.interpolate import PchipInterpolator
+
         q_ev = q_au * BOHR_INV_EV
         u_nat = u_au * _UT_AU_TO_NAT
         interp = PchipInterpolator(q_ev, u_nat, extrapolate=False)

@@ -1,5 +1,7 @@
 import importlib
+import math
 
+import numpy as np
 import pytest
 
 from sbxs.kinematics import LaserField
@@ -21,6 +23,18 @@ def pot_fig():
 def k_fig():
     """K for the Nd-laser intensity 3.5e16 W/cm^2 at 1.17 eV (~0.17)."""
     return intensity_to_K(3.5e16, OMEGA_ND)
+
+
+def write_screened_table(path, za=1.0, radius_au=4.0, n=600):
+    """A `# q_au  u_tilde_au` table of the screened Coulomb transform."""
+    chi_au = 1.0 / radius_au
+    q_au = np.geomspace(1e-3, 12.0, n)  # log grid resolves the knee at chi
+    u_au = 4.0 * math.pi * za / (q_au**2 + chi_au**2)  # e^2 = 1 in a.u.
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# q_au  u_tilde_au\n")
+        for q, u in zip(q_au, u_au):
+            fh.write(f"{float(q)!r} {float(u)!r}\n")
+    return path
 
 
 def make_scenario(pot, K=0.17, zeta=1.0, deflection_mrad=0.6,

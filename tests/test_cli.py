@@ -1,9 +1,13 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+from conftest import write_screened_table
 from sbxs.cli import SCHEMA, main, resolve_config
 from sbxs.errors import ConfigError
 
@@ -159,6 +163,10 @@ def _on(command, mutate, *flags, names=None):
         _on("total", lambda c: c["geometry"].update(azimuth_degs=0.0),
             names="azimuth_degs"),
         _on("total", lambda c: c.update(detector={}), names="detector"),
+        # Za is read only with screening_radius_au
+        _on("total", lambda c: c["potential"].update(table_path="/x.tab") or
+                               c["potential"].pop("screening_radius_au"),
+            names="Za"),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):
@@ -225,6 +233,47 @@ def test_total_and_elastic(capsys, cfg_path):
     code, out1, _ = _run(capsys, ["elastic", "--config", cfg_path])
     # elastic reference is field-free: K override must not matter
     assert out0 == out1
+
+
+def test_tabulated_potential_matches_closed_form(tmp_path, capsys):
+    table = str(write_screened_table(tmp_path / "screened.tab"))
+    demo = HERE.parent / "demos" / "fig1a.json"
+    cfg = json.loads(demo.read_text())
+    cfg["potential"] = {"table_path": table}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(cfg))
+    code, analytic, _ = _run(capsys, ["total", "--config", str(demo)])
+    assert code == 0
+    code, tabulated, _ = _run(capsys, ["total", "--config", str(path)])
+    assert code == 0
+    # the tolerance of test_potential.test_table_matches_closed_form
+    assert float(tabulated) == pytest.approx(float(analytic), rel=1e-5)
+    code, out, _ = _run(capsys, ["envelope", "--config", str(path)])
+    assert code == 0
+    header = [l for l in out.splitlines() if l.startswith("# config: ")]
+    echoed = json.loads(header[0][len("# config: "):])
+    assert echoed["potential"] == {"table_path": table}
+
+
+_SCIPY_GUARD = """
+import contextlib, io, sys
+from sbxs.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["total", "--config", "demos/fig1a.json"]) == 0
+assert "scipy" not in sys.modules, "scipy loaded by a screened-Coulomb run"
+from sbxs.potential import PotentialFT
+PotentialFT.from_table(sys.argv[1])
+"""
+
+
+def test_screened_coulomb_run_leaves_scipy_unloaded(tmp_path):
+    """scipy is imported only when a table is read (it costs ~0.75 s)."""
+    table = write_screened_table(tmp_path / "screened.tab")
+    root = HERE.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(table)],
+                          cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_partial_csv(capsys, cfg_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import write_screened_table
 from sbxs.errors import DomainError
 from sbxs.potential import PotentialFT, u_tilde
 from sbxs.units import BOHR_INV_EV, FINE_STRUCTURE, screening_chi_ev
@@ -69,19 +70,8 @@ def test_construction_guards():
 # custom tables (file format: "# q_au  u_tilde_au", atomic-unit columns)
 # ---------------------------------------------------------------------------
 
-def _write_screened_table(path, za=1.0, radius_au=4.0, n=600):
-    chi_au = 1.0 / radius_au
-    q_au = np.geomspace(1e-3, 12.0, n)  # log grid resolves the knee at chi
-    u_au = 4.0 * math.pi * za / (q_au**2 + chi_au**2)  # e^2 = 1 in a.u.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# q_au  u_tilde_au\n")
-        for q, u in zip(q_au, u_au):
-            fh.write(f"{float(q)!r} {float(u)!r}\n")
-    return path
-
-
 def test_table_matches_closed_form(tmp_path):
-    path = _write_screened_table(tmp_path / "screened.tab")
+    path = write_screened_table(tmp_path / "screened.tab")
     table = PotentialFT.from_table(path)
     analytic = PotentialFT.screened_coulomb_au(1.0, 4.0)
     for q_au in (0.05, 0.3, 1.7, 9.4):
@@ -93,7 +83,7 @@ def test_table_matches_closed_form(tmp_path):
 
 
 def test_table_range_error(tmp_path):
-    path = _write_screened_table(tmp_path / "screened.tab")
+    path = write_screened_table(tmp_path / "screened.tab")
     table = PotentialFT.from_table(path)
     with pytest.raises(DomainError):
         u_tilde(table, (13.0 * BOHR_INV_EV, 0, 0))
@@ -106,3 +96,21 @@ def test_table_requires_monotone_grid(tmp_path):
     path.write_text("# q_au  u_tilde_au\n1.0 2.0\n0.5 3.0\n")
     with pytest.raises(DomainError):
         PotentialFT.from_table(path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "",                                              # empty file
+        "# q_au  u_tilde_au\n",                          # comments only
+        "# q_au  u_tilde_au\n1.0 2.0\n",                 # one row
+        "# q_au  u_tilde_au\n0.5 3.0\n1.0 nan\n",        # NaN in u
+        "# q_au  u_tilde_au\n0.5 3.0\ninf 2.0\n",        # infinite q
+    ],
+)
+def test_table_rejects_unusable_data(tmp_path, recwarn, body):
+    path = tmp_path / "bad.tab"
+    path.write_text(body)
+    with pytest.raises(DomainError, match="bad.tab"):
+        PotentialFT.from_table(path)
+    assert not recwarn.list  # numpy's empty-input warning stays silent
