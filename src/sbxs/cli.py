@@ -132,9 +132,8 @@ def resolve_config(cfg):
     has_t = "table_path" in pot_c
     _require(has_r != has_t,
              "potential: exactly one of screening_radius_au / table_path")
-    _require(has_t or "Za" in pot_c, "potential: Za missing")
-    _require(has_r or "Za" not in pot_c,
-             "potential: Za goes with screening_radius_au, not table_path")
+    _require(("Za" in pot_c) == has_r,
+             "potential: Za goes with screening_radius_au, and only with it")
 
     _require("deflection_mrad" in geo_c, "geometry: deflection_mrad missing")
     deflection_mrad = _number(geo_c["deflection_mrad"],

@@ -64,7 +64,10 @@ class PotentialFT:
         """
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, ndmin=2)
+            try:
+                data = np.loadtxt(path, ndmin=2)
+            except ValueError as exc:
+                raise DomainError(f"not a numeric table: {path} ({exc})")
         if data.shape[0] < 2:
             raise DomainError(f"need at least two rows in {path}")
         if data.shape[1] != 2:

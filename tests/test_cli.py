@@ -136,10 +136,11 @@ def _on(command, mutate, *flags, names=None):
         lambda c: c["potential"].update(screening_radius_au=0.0),
         lambda c: c["electron"].update(direction=[0, 0, 0]),
         # unreadable potential tables: missing, and not a numeric table
-        lambda c: c["potential"].update(table_path="/nonexistent.tab") or
-                  c["potential"].pop("screening_radius_au"),
-        lambda c: c["potential"].update(table_path=__file__) or
-                  c["potential"].pop("screening_radius_au"),
+        _on("total", lambda c: c.update(
+            potential={"table_path": "/nonexistent.tab"}),
+            names="nonexistent.tab"),
+        _on("total", lambda c: c.update(potential={"table_path": __file__}),
+            names="test_cli.py"),
         # values that are not numbers, one per field converted by the CLI
         lambda c: c["electron"].update(kinetic_energy_eV="abc"),
         lambda c: c["electron"].update(direction=["x", 0, 1]),
@@ -167,6 +168,7 @@ def _on(command, mutate, *flags, names=None):
         _on("total", lambda c: c["potential"].update(table_path="/x.tab") or
                                c["potential"].pop("screening_radius_au"),
             names="Za"),
+        _on("total", lambda c: c["potential"].pop("Za"), names="Za"),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):

@@ -106,6 +106,7 @@ def test_table_requires_monotone_grid(tmp_path):
         "# q_au  u_tilde_au\n1.0 2.0\n",                 # one row
         "# q_au  u_tilde_au\n0.5 3.0\n1.0 nan\n",        # NaN in u
         "# q_au  u_tilde_au\n0.5 3.0\ninf 2.0\n",        # infinite q
+        "# q_au  u_tilde_au\n0.5 3.0\n1.0 abc\n",        # not a number
     ],
 )
 def test_table_rejects_unusable_data(tmp_path, recwarn, body):
