@@ -18,8 +18,9 @@ class ConvergenceError(RuntimeError):
 
 
 class LinearPathUnstableError(RuntimeError):
-    """The linear-polarization formula refuses: |v| below its stability
-    floor. Callers must fall back to the general evaluation path."""
+    """The linear-polarization closed form refuses: |v| below its stability
+    floor. It is a cross-check only; partial_xs_general covers that
+    channel."""
 
 
 class OracleInconsistencyError(RuntimeError):

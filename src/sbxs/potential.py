@@ -32,7 +32,6 @@ class PotentialFT:
     Za: float = 0.0
     chi: float = 0.0
     q_table: np.ndarray = None
-    u_table: np.ndarray = None
     _interp: object = field(default=None, repr=False)  # callable q -> U~
 
     def __post_init__(self):
@@ -85,7 +84,6 @@ class PotentialFT:
         return cls(
             kind=CUSTOM_TABLE,
             q_table=q_ev,
-            u_table=u_nat,
             _interp=interp,
         )
 

@@ -10,22 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac_oracle import xs_oracle
-from .errors import (
-    ChannelClosedError,
-    ConvergenceError,
-    DomainError,
-    LinearPathUnstableError,
-)
+from .errors import ChannelClosedError, ConvergenceError, DomainError
 from .kinematics import LaserField
 from .potential import PotentialFT
 from .xsection import (
     PartialXS,
     Scenario,
     _nonrel_eval,
-    partial_xs_circular,
     partial_xs_general,
     partial_xs_general_batch,
-    partial_xs_linear,
 )
 
 TAIL_CUT_DEFAULT = 1.0e-8
@@ -39,28 +32,11 @@ BLOCK_EXTEND = 24
 
 
 def partial(scenario, n):
-    """Single channel under the scenario's formula selection.
-
-    The linear closed form silently defers to the general path when its
-    |v| stability floor trips; the nonrel reference is wrapped in a
-    PartialXS with the whole value booked as the main term.
-    """
-    formula = scenario.formula
-    if formula == "general":
+    """Single channel under the scenario's formula: the general formula, or
+    the nonrel reference wrapped in a PartialXS with the whole value booked
+    as the main term."""
+    if scenario.formula == "general":
         return partial_xs_general(scenario, n)
-    if formula == "circular":
-        return partial_xs_circular(scenario, n)
-    if formula == "linear":
-        try:
-            return partial_xs_linear(scenario, n)
-        except LinearPathUnstableError:
-            return partial_xs_general(scenario, n)
-    if formula == "oracle":
-        channel = scenario.channel(n)
-        return PartialXS.from_terms(n, channel.alpha1,
-                                    float(np.dot(channel.q_n, channel.q_n)),
-                                    xs_oracle(scenario, n))
-    # nonrel
     value, a1, q2 = _nonrel_eval(scenario, n)
     return PartialXS.from_terms(n, a1, q2, value)
 
@@ -88,7 +64,7 @@ def _block(scenario, ns):
     (entries, whether a channel was closed).
 
     The general formula builds the Bessel rows of the whole block at once;
-    the other formulas evaluate each channel through partial.
+    the nonrel reference evaluates each channel through partial.
     """
     general = scenario.formula == "general"
     opened, closed = [], False
@@ -254,7 +230,7 @@ def random_scenarios(seed, count):
     return out
 
 
-def oracle_deviation_sweep(seed=0, samples=200):
+def oracle_deviation_sweep(seed, samples):
     """Max relative deviation |general - oracle| over randomized open channels.
 
     Returns (max_rel_dev, records); each record is (scenario index, n,

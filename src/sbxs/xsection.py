@@ -49,7 +49,7 @@ FOUR_PI_SQ = (4.0 * math.pi) ** 2
 # path is authoritative there.
 V_FLOOR = 1.0e-6
 
-VALID_FORMULAS = ("general", "circular", "linear", "nonrel", "oracle")
+VALID_FORMULAS = ("general", "nonrel")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +75,6 @@ class Scenario:
     def __post_init__(self):
         if self.formula not in VALID_FORMULAS:
             raise DomainError(f"unknown formula {self.formula!r}")
-        if self.formula == "circular" and self.laser.zeta != 1.0:
-            raise DomainError("circular formula requires zeta = 1")
-        if self.formula == "linear" and self.laser.zeta != 0.0:
-            raise DomainError("linear formula requires zeta = 0")
         object.__setattr__(self, "direction", tuple(float(c) for c in self.direction))
         dressed = dress(self.kinetic_energy, self.direction, self.laser)
         rhat = deflection_frame(dressed, self.deflection, self.azimuth, self.laser)

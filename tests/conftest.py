@@ -25,10 +25,12 @@ def k_fig():
     return intensity_to_K(3.5e16, OMEGA_ND)
 
 
-def write_screened_table(path, za=1.0, radius_au=4.0, n=600):
-    """A `# q_au  u_tilde_au` table of the screened Coulomb transform."""
+def write_screened_table(path, za=1.0, radius_au=4.0, n=600,
+                         q_range=(1e-3, 12.0)):
+    """A `# q_au  u_tilde_au` table of the screened Coulomb transform at n
+    log-spaced q_au over q_range."""
     chi_au = 1.0 / radius_au
-    q_au = np.geomspace(1e-3, 12.0, n)  # log grid resolves the knee at chi
+    q_au = np.geomspace(*q_range, n)  # log grid resolves the knee at chi
     u_au = 4.0 * math.pi * za / (q_au**2 + chi_au**2)  # e^2 = 1 in a.u.
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# q_au  u_tilde_au\n")

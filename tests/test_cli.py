@@ -10,6 +10,7 @@ import pytest
 from conftest import write_screened_table
 from sbxs.cli import SCHEMA, main, resolve_config
 from sbxs.errors import ConfigError
+from sbxs.xsection import VALID_FORMULAS
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -75,7 +76,7 @@ def _embedded_config(path):
 def test_golden_configs_resolve_to_themselves():
     paths = [p for p in sorted((HERE / "golden").iterdir())
              if p.suffix in (".csv", ".json")]
-    assert len(paths) == 13
+    assert len(paths) == 10
     for path in paths:
         config = _embedded_config(path)
         resolved, _, _ = resolve_config(config)
@@ -94,6 +95,9 @@ def test_readme_config_follows_the_schema():
     for name, keys in SCHEMA.items():
         for key in (name, *keys):
             assert f"`{key}`" in section, key
+    run_row = next(l for l in section.splitlines() if l.startswith("| `run`"))
+    listed = re.search(r"`formula`: `([^`]*)`", run_row).group(1)
+    assert listed.split(" \\| ") == list(VALID_FORMULAS)
 
 
 def test_wavelength_and_k_input(tmp_path):
@@ -121,10 +125,12 @@ def _on(command, mutate, *flags, names=None):
         lambda c: c["geometry"].update(deflection_mrad=-1.0),
         lambda c: c["electron"].update(direction=[0, 0]),
         lambda c: c["potential"].pop("screening_radius_au"),
-        _on("total", lambda c: c["run"].update(formula="circular") or
-                               c["laser"].update(zeta=0.5), names="zeta"),
-        # checked by Scenario / LaserField, reported as config errors
-        lambda c: c["run"].update(formula="linear"),          # zeta = 1
+        # checked by Scenario / LaserField, reported as config errors; the
+        # closed forms are cross-checks, not formulas, whatever zeta is
+        _on("total", lambda c: c["run"].update(formula="circular"),
+            names="circular"),
+        _on("total", lambda c: c["run"].update(formula="linear") or
+                               c["laser"].update(zeta=0.0), names="linear"),
         lambda c: c["run"].update(formula="bogus"),
         lambda c: c["laser"].update(K=-0.1) or
                   c["laser"].pop("intensity_W_cm2"),
@@ -169,6 +175,8 @@ def _on(command, mutate, *flags, names=None):
                                c["potential"].pop("screening_radius_au"),
             names="Za"),
         _on("total", lambda c: c["potential"].pop("Za"), names="Za"),
+        _on("total", lambda c: c["geometry"].update(deflection_mrad=4000.0),
+            names="deflection must lie in [0, pi]"),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):
@@ -213,6 +221,14 @@ def test_format_only_on_partial_and_envelope(capsys, cfg_path):
 def test_missing_config_file_exit_2(capsys):
     code, _, err = _run(capsys, ["total", "--config", "/nonexistent.json"])
     assert code == 2
+
+
+def test_invalid_json_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    code, _, err = _run(capsys, ["total", "--config", str(path)])
+    assert code == 2
+    assert "is not valid JSON" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -295,6 +311,13 @@ def test_partial_closed_channel_exit_3(capsys, cfg_path):
     assert "domain error" in err
 
 
+def test_envelope_range_without_open_channels_exit_3(capsys, cfg_path):
+    code, _, err = _run(capsys, ["envelope", "--config", cfg_path,
+                                 "--n-min", "-100000", "--n-max", "-99990"])
+    assert code == 3
+    assert "no open channels in range" in err
+
+
 def test_envelope_csv_and_header_round_trip(capsys, cfg_path):
     code, out, _ = _run(capsys, ["envelope", "--config", cfg_path])
     assert code == 0
@@ -329,6 +352,25 @@ def test_ksweep_csv(capsys, cfg_path):
     assert rows[0] == "K,total_au"
     assert len(rows) == 4
     assert [float(r.split(",")[0]) for r in rows[1:]] == [0.1, 0.3, 0.5]
+
+
+def test_ksweep_reports_per_point_errors(tmp_path, capsys):
+    # the narrow table of test_scan.test_k_sweep_reports_per_point_errors:
+    # at K = 1.2 the momentum transfer leaves it
+    table = write_screened_table(tmp_path / "narrow.tab", n=200,
+                                 q_range=(0.05, 0.35))
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg["laser"] = {"photon_energy_eV": 1.17, "K": 0.17, "zeta": 1.0}
+    cfg["potential"] = {"table_path": str(table)}
+    cfg["geometry"]["deflection_mrad"] = 6.0
+    cfg["run"]["k_grid"] = [0.05, 1.2]
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = _run(capsys, ["ksweep", "--config", str(path)])
+    assert code == 0
+    lines = out.splitlines()
+    assert "1.2,nan" in lines
+    assert any(l.startswith("# error K=1.2: DomainError: |q| =") for l in lines)
 
 
 def test_gbessel_debug(capsys):

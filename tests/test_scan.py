@@ -1,10 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 import sbxs.scan as scan
-from conftest import make_scenario
+from conftest import make_scenario, write_screened_table
+from sbxs.dirac_oracle import xs_oracle
 from sbxs.errors import ChannelClosedError, DomainError
 from sbxs.potential import PotentialFT
 from sbxs.scan import (
@@ -14,7 +14,13 @@ from sbxs.scan import (
     partial,
     total_xs,
 )
-from sbxs.xsection import elastic_born, partial_xs_general
+from sbxs.xsection import (
+    elastic_born,
+    partial_xs_circular,
+    partial_xs_general,
+    partial_xs_linear,
+    partial_xs_nonrel,
+)
 
 
 def test_envelope_free_field_single_entry(pot_fig):
@@ -102,35 +108,38 @@ def test_total_free_field_continuity(pot_fig):
 
 
 def test_partial_formula_dispatch(pot_fig, k_fig):
-    # circular / linear / general / oracle agree on the same channel
-    for formula, zeta in (("general", 1.0), ("circular", 1.0),
-                          ("linear", 0.0), ("oracle", 1.0)):
-        s = make_scenario(pot_fig, K=k_fig, zeta=zeta, deflection_mrad=0.6,
-                          formula=formula)
-        ref = make_scenario(pot_fig, K=k_fig, zeta=zeta, deflection_mrad=0.6)
-        assert partial(s, -4).value == pytest.approx(
-            partial(ref, -4).value, rel=1e-8
-        )
+    # general is the production formula, nonrel the dipole reference
+    s = make_scenario(pot_fig, K=k_fig, zeta=1.0)
+    assert partial(s, -4) == partial_xs_general(s, -4)
+    s = make_scenario(pot_fig, K=k_fig, zeta=1.0, formula="nonrel")
+    assert partial(s, -4).value == partial_xs_nonrel(s, -4)
+    # the closed forms and the spinor oracle are cross-checks only
+    for formula in ("circular", "linear", "oracle"):
+        with pytest.raises(DomainError, match=formula):
+            make_scenario(pot_fig, K=k_fig, zeta=1.0, formula=formula)
 
 
-def test_partial_oracle_does_not_run_the_general_path(pot_fig, k_fig,
-                                                     monkeypatch):
-    s = make_scenario(pot_fig, K=k_fig, zeta=1.0, formula="oracle")
-    expected = partial(s, -4)
-    ref = partial_xs_general(make_scenario(pot_fig, K=k_fig, zeta=1.0), -4)
-    assert (expected.alpha1, expected.q2) == (ref.alpha1, ref.q2)
-
-    def refuse(*args):
-        raise AssertionError("oracle formula ran partial_xs_general")
-    monkeypatch.setattr(scan, "partial_xs_general", refuse)
-    assert partial(s, -4) == expected
-
-
-def test_partial_linear_falls_back_to_general(pot_fig):
-    # tiny K drives |v| below the floor; dispatch must route to general
-    s = make_scenario(pot_fig, K=1e-9, zeta=0.0, formula="linear")
-    ref = make_scenario(pot_fig, K=1e-9, zeta=0.0)
-    assert partial(s, 1).value == partial(ref, 1).value
+@pytest.mark.parametrize("check, zeta, kw", [
+    (partial_xs_circular, 1.0, {}),
+    (xs_oracle, 1.0, {}),
+    (partial_xs_linear, 0.0,
+     dict(direction=(0.3, 0.2, 0.9), deflection_mrad=6.0)),
+])
+def test_envelope_matches_cross_checks(pot_fig, k_fig, check, zeta, kw):
+    # every channel of the general envelope, at the oracle sweep's 1e-8 and
+    # 1e-12-of-peak floor
+    s = make_scenario(pot_fig, K=k_fig, zeta=zeta, **kw)
+    env = envelope(s)
+    peak = max(px.value for px in env.entries)
+    checked = 0
+    for px in env.entries:
+        if px.value <= 1.0e-12 * peak:
+            continue
+        other = check(s, px.n)
+        other = getattr(other, "value", other)
+        assert other == pytest.approx(px.value, rel=1e-8), px.n
+        checked += 1
+    assert checked > 30
 
 
 def test_k_sweep_order_and_values(fig1a):
@@ -157,13 +166,8 @@ def test_k_sweep_rejects_bad_grid(fig1a):
 
 def test_k_sweep_reports_per_point_errors(tmp_path):
     # narrow custom table: large K pushes q_n outside the tabulated range
-    q_au = np.geomspace(0.05, 0.35, 200)
-    u_au = 4.0 * math.pi / (q_au**2 + 0.25**2)
-    path = tmp_path / "narrow.tab"
-    with open(path, "w") as fh:
-        fh.write("# q_au  u_tilde_au\n")
-        for q, u in zip(q_au, u_au):
-            fh.write(f"{float(q)!r} {float(u)!r}\n")
+    path = write_screened_table(tmp_path / "narrow.tab", n=200,
+                                q_range=(0.05, 0.35))
     pot = PotentialFT.from_table(path)
     s = make_scenario(pot, K=0.17, zeta=1.0, deflection_mrad=6.0)
     pts = k_sweep(s, [0.05, 1.2])

@@ -194,9 +194,13 @@ def test_linear_requires_zeta_zero(pot_fig, k_fig):
 
 
 def test_circular_matches_general(pot_fig, k_fig):
-    for (defl, dirn, az) in [(0.6, (0, 0, 1), 0.0), (6.0, (0, 0, -1), 0.4),
-                             (20.0, (0.3, 0.1, 0.9), 1.7)]:
-        s = make_scenario(pot_fig, K=k_fig, zeta=1.0, deflection_mrad=defl,
+    # the last two inputs have alpha1 = 0: no field, and q along khat
+    for (K, defl, dirn, az) in [(k_fig, 0.6, (0, 0, 1), 0.0),
+                                (k_fig, 6.0, (0, 0, -1), 0.4),
+                                (k_fig, 20.0, (0.3, 0.1, 0.9), 1.7),
+                                (0.0, 0.6, (0, 0, 1), 0.0),
+                                (0.17, 0.0, (0, 0, 1), 0.0)]:
+        s = make_scenario(pot_fig, K=K, zeta=1.0, deflection_mrad=defl,
                           direction=dirn, azimuth=az)
         for n in range(-8, 9):
             a = partial_xs_general(s, n).value
