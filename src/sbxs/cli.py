@@ -1,24 +1,13 @@
 """Command-line front end.
 
 Subcommands: partial, envelope, total, ksweep, elastic, gbessel, verify,
-plot.  A JSON config (schema below, no other keys) describes the
-computation; every CSV artifact embeds it, fully resolved, in a header
-comment so a run can be reproduced from its output alone.  --K and
---tail-cut are written into the config; the other flags pick the rows
-and where they go.
+plot.  A JSON config describes the computation; every CSV artifact
+embeds it, fully resolved, in a header comment so a run can be
+reproduced from its output alone.  --K and --tail-cut are written into
+the config; the other flags pick the rows and where they go.
 
-Config schema:
-
-    {
-      "laser":     {"photon_energy_eV": 1.17 | "wavelength_nm": ...,
-                    "intensity_W_cm2": 3.5e16 | "K": 0.17,
-                    "zeta": 1.0},
-      "electron":  {"kinetic_energy_eV": 2700.0, "direction": [0, 0, 1]},
-      "potential": {"Za": 1.0,
-                    "screening_radius_au": 4.0 | "table_path": "..."},
-      "geometry":  {"deflection_mrad": 0.6, "azimuth_deg": 0.0},
-      "run":       {"formula": "general", "k_grid": [...], "tail_cut": 1e-8}
-    }
+The config holds the sections and keys of SCHEMA, each value of the type
+SCHEMA gives it, and nothing else; README.md describes each key.
 
 Exit codes: 0 success, 2 config error, 3 closed-channel/domain error,
 4 convergence error, 5 verification failure.
@@ -51,14 +40,14 @@ from .xsection import Scenario, elastic_born
 
 ENVELOPE_COLUMNS = "n,dsigma_au,alpha1,q2_au,term_main,term_recoil,term_wave"
 KSWEEP_COLUMNS = "K,total_au"
-# The sections and keys a config may hold; resolve_config rejects any other.
+# The only sections and keys a config may hold, each with its value's type.
 SCHEMA = {
-    "laser": ("photon_energy_eV", "wavelength_nm", "intensity_W_cm2", "K",
-              "zeta"),
-    "electron": ("kinetic_energy_eV", "direction"),
-    "potential": ("Za", "screening_radius_au", "table_path"),
-    "geometry": ("deflection_mrad", "azimuth_deg"),
-    "run": ("formula", "k_grid", "tail_cut"),
+    "laser": {"photon_energy_eV": float, "wavelength_nm": float,
+              "intensity_W_cm2": float, "K": float, "zeta": float},
+    "electron": {"kinetic_energy_eV": float, "direction": list},
+    "potential": {"Za": float, "screening_radius_au": float, "table_path": str},
+    "geometry": {"deflection_mrad": float, "azimuth_deg": float},
+    "run": {"formula": str, "k_grid": list, "tail_cut": float},
 }
 
 
@@ -67,12 +56,20 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _number(value, what):
-    """float(value), a ConfigError if it fails."""
+def _convert(kind, value, what):
+    """value as a `kind`, or a ConfigError naming `what`: a float is finite
+    (float(value) converts), a list holds floats."""
+    if kind is not float:
+        _require(isinstance(value, kind),
+                 f"{what} must be a {kind.__name__}, got {value!r}")
+        return value if kind is str else [_convert(float, v, what) for v in value]
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    _require(math.isfinite(number),
+             f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def load_config(path):
@@ -85,14 +82,20 @@ def load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
 
 
-def _check_schema(cfg):
-    """A ConfigError naming the first section or key SCHEMA does not know."""
+def _typed(cfg):
+    """cfg with each value converted to its SCHEMA type; a ConfigError names
+    the first section, key or value that SCHEMA does not allow."""
     _require(isinstance(cfg, dict), "config must be a JSON object")
+    typed = {}
     for section, body in cfg.items():
         _require(section in SCHEMA, f"unknown config section {section!r}")
         _require(isinstance(body, dict), f"{section}: must be a JSON object")
-        for key in body:
+        typed[section] = {}
+        for key, value in body.items():
             _require(key in SCHEMA[section], f"{section}: unknown key {key!r}")
+            typed[section][key] = _convert(SCHEMA[section][key], value,
+                                           f"{section}: {key}")
+    return typed
 
 
 def resolve_config(cfg):
@@ -103,7 +106,7 @@ def resolve_config(cfg):
     strength as K, angles as given.  units, PotentialFT, LaserField and
     Scenario check the ranges; their errors become a ConfigError.
     """
-    _check_schema(cfg)
+    cfg = _typed(cfg)
     for section in ("laser", "electron", "potential", "geometry"):
         _require(section in cfg, f"config section {section!r} missing")
     laser_c = cfg["laser"]
@@ -121,12 +124,10 @@ def resolve_config(cfg):
     _require(has_i != has_k, "laser: exactly one of intensity_W_cm2 / K")
 
     _require("kinetic_energy_eV" in elec_c, "electron: kinetic_energy_eV missing")
-    ek = _number(elec_c["kinetic_energy_eV"], "electron: kinetic_energy_eV")
+    ek = elec_c["kinetic_energy_eV"]
     _require(ek > 0.0, "electron: kinetic energy must be > 0")
     direction = elec_c.get("direction", [0.0, 0.0, 1.0])
-    _require(isinstance(direction, (list, tuple)) and len(direction) == 3,
-             "electron: direction must be a 3-vector")
-    direction = [_number(c, "electron: direction") for c in direction]
+    _require(len(direction) == 3, "electron: direction must be a 3-vector")
 
     has_r = "screening_radius_au" in pot_c
     has_t = "table_path" in pot_c
@@ -136,31 +137,26 @@ def resolve_config(cfg):
              "potential: Za goes with screening_radius_au, and only with it")
 
     _require("deflection_mrad" in geo_c, "geometry: deflection_mrad missing")
-    deflection_mrad = _number(geo_c["deflection_mrad"],
-                              "geometry: deflection_mrad")
-    _require(deflection_mrad > 0.0, "geometry: deflection_mrad must be > 0")
-    azimuth_deg = _number(geo_c.get("azimuth_deg", 0.0),
-                          "geometry: azimuth_deg")
+    deflection_mrad = geo_c["deflection_mrad"]
+    _require(0.0 < deflection_mrad * 1.0e-3 <= math.pi,
+             f"geometry: deflection_mrad {deflection_mrad!r} not in (0, 1000 pi]")
+    azimuth_deg = geo_c.get("azimuth_deg", 0.0)
 
-    formula = str(run_c.get("formula", "general"))
-    tail_cut = _number(run_c.get("tail_cut", TAIL_CUT_DEFAULT),
-                       "run: tail_cut")
+    formula = run_c.get("formula", "general")
+    tail_cut = run_c.get("tail_cut", TAIL_CUT_DEFAULT)
     _require(0.0 < tail_cut < 1.0, "run: tail_cut must lie in (0, 1)")
 
     try:
-        omega = (float(laser_c["photon_energy_eV"]) if has_w
-                 else units.wavelength_nm_to_ev(float(laser_c["wavelength_nm"])))
-        K = (units.intensity_to_K(float(laser_c["intensity_W_cm2"]), omega)
-             if has_i else float(laser_c["K"]))
-        zeta = float(laser_c.get("zeta", 0.0))
+        omega = (laser_c["photon_energy_eV"] if has_w
+                 else units.wavelength_nm_to_ev(laser_c["wavelength_nm"]))
+        K = (units.intensity_to_K(laser_c["intensity_W_cm2"], omega)
+             if has_i else laser_c["K"])
+        zeta = laser_c.get("zeta", 0.0)
         if has_r:
-            za = float(pot_c["Za"])
-            radius = float(pot_c["screening_radius_au"])
-            potential = PotentialFT.screened_coulomb_au(za, radius)
-            pot_resolved = {"Za": za, "screening_radius_au": radius}
+            potential = PotentialFT.screened_coulomb_au(
+                pot_c["Za"], pot_c["screening_radius_au"])
         else:
             potential = PotentialFT.from_table(pot_c["table_path"])
-            pot_resolved = {"table_path": str(pot_c["table_path"])}
         scenario = Scenario(
             laser=LaserField.from_K(omega, K, zeta),
             kinetic_energy=ek,
@@ -170,29 +166,23 @@ def resolve_config(cfg):
             azimuth=math.radians(azimuth_deg),
             formula=formula,
         )
-    except (DomainError, OSError, ValueError) as exc:
+    except (DomainError, OSError) as exc:
         raise ConfigError(str(exc))
 
     resolved = {
         "laser": {"photon_energy_eV": omega, "K": K, "zeta": zeta},
         "electron": {"kinetic_energy_eV": ek, "direction": direction},
-        "potential": pot_resolved,
-        "geometry": {"deflection_mrad": deflection_mrad,
-                     "azimuth_deg": azimuth_deg},
-        "run": {"formula": formula, "tail_cut": tail_cut},
+        "potential": pot_c,
+        "geometry": dict(geo_c, azimuth_deg=azimuth_deg),
+        "run": dict(run_c, formula=formula, tail_cut=tail_cut),
     }
-    if "k_grid" in run_c:
-        _require(isinstance(run_c["k_grid"], list), "run: k_grid must be a list")
-        resolved["run"]["k_grid"] = [_number(k, "run: k_grid")
-                                     for k in run_c["k_grid"]]
     return resolved, scenario, resolved["run"]
 
 
 def _resolve(args):
     """resolve_config of the config file with --K and --tail-cut written
     into it, so that they are checked and echoed like the file's values."""
-    cfg = load_config(args.config)
-    _check_schema(cfg)  # so the sections written below are objects
+    cfg = _typed(load_config(args.config))  # so the sections below are objects
     if args.K is not None and "laser" in cfg:
         cfg["laser"].pop("intensity_W_cm2", None)
         cfg["laser"]["K"] = args.K
@@ -364,9 +354,10 @@ def _tick_label(v):
 
 def render_svg(xs, ys, xlabel, ylabel, title, logy=False):
     """Minimal deterministic line plot (no external dependencies)."""
-    pts = [(x, y) for x, y in zip(xs, ys) if not logy or y > 0.0]
+    pts = [(x, y) for x, y in zip(xs, ys)
+           if math.isfinite(x) and math.isfinite(y) and (not logy or y > 0.0)]
     if not pts:
-        raise DomainError("nothing to plot (all values nonpositive on log axis)")
+        raise DomainError("nothing to plot (no finite point; log axis: none > 0)")
     pxs = [p[0] for p in pts]
     pys = [math.log10(p[1]) if logy else p[1] for p in pts]
     x_lo, x_hi = min(pxs), max(pxs)

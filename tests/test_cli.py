@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -6,10 +7,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import write_screened_table
-from sbxs.cli import SCHEMA, main, resolve_config
-from sbxs.errors import ConfigError
+from sbxs import cli
+from sbxs.cli import SCHEMA, config_header, main, resolve_config
+from sbxs.errors import ConfigError, ConvergenceError
 from sbxs.xsection import VALID_FORMULAS
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -81,6 +84,35 @@ def test_golden_configs_resolve_to_themselves():
         config = _embedded_config(path)
         resolved, _, _ = resolve_config(config)
         assert resolved == config, path.name
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_SCHEMA_KEYS = [(section, key) for section, keys in SCHEMA.items()
+                for key in keys]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(_SCHEMA_KEYS), _JSON_VALUES)
+def test_any_value_at_any_key_is_a_config_error_or_resolves(place, value):
+    """No value at a config key gets past resolve_config as a traceback, a
+    non-finite angle or direction, or an echo that does not resolve."""
+    section, key = place
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg[section][key] = value
+    try:
+        resolved, scenario, _ = resolve_config(cfg)
+    except ConfigError:
+        return
+    assert math.isfinite(scenario.azimuth)
+    assert all(math.isfinite(c) for c in scenario.direction)
+    echoed = json.loads(config_header(resolved, "total").split("# config: ")[1])
+    assert resolve_config(echoed)[0] == resolved
 
 
 def _readme_cli_section():
@@ -176,7 +208,26 @@ def _on(command, mutate, *flags, names=None):
             names="Za"),
         _on("total", lambda c: c["potential"].pop("Za"), names="Za"),
         _on("total", lambda c: c["geometry"].update(deflection_mrad=4000.0),
-            names="deflection must lie in [0, pi]"),
+            names="deflection_mrad"),
+        # values of the wrong type or not finite, named by section and key
+        _on("total", lambda c: c["laser"].update(zeta=None),
+            names="laser: zeta"),
+        _on("total", lambda c: c["potential"].update(Za=None),
+            names="potential: Za"),
+        _on("total", lambda c: c["laser"].update(K="abc") or
+                               c["laser"].pop("intensity_W_cm2"),
+            names="laser: K"),
+        _on("total", lambda c: c["geometry"].update(azimuth_deg=float("nan")),
+            names="geometry: azimuth_deg"),
+        _on("total", lambda c: c["electron"].update(
+            direction=[float("nan"), 0, 1]), names="electron: direction"),
+        _on("total", lambda c: c["geometry"].update(azimuth_deg=float("inf")),
+            names="geometry: azimuth_deg"),
+        _on("total", lambda c: c.update(
+            potential={"table_path": ["0.001 0.01", "1000 1e-9"]}),
+            names="potential: table_path"),
+        _on("total", lambda c: c["run"].update(formula=None),
+            names="run: formula"),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):
@@ -187,11 +238,11 @@ def test_bad_configs_exit_2(tmp_path, capsys, mutate):
     argv = [getattr(mutate, "command", "total"), "--config", str(path),
             *getattr(mutate, "flags", ())]
     try:
-        code, _, err = _run(capsys, argv)
+        code, out, err = _run(capsys, argv)
     except SystemExit as exc:  # argparse: a required flag is missing
         code, err = exc.code, capsys.readouterr().err
     else:
-        assert "config error" in err
+        assert "config error" in err and out == ""
     assert code == 2
     names = getattr(mutate, "names", None)
     assert names is None or names in err
@@ -385,6 +436,17 @@ def test_gbessel_debug(capsys):
     assert float(lines[2].split()[1]) < 1e-12
 
 
+def test_convergence_error_exit_4(capsys, monkeypatch):
+    def fail(*args):
+        raise ConvergenceError("quadrature did not converge")
+
+    monkeypatch.setattr(cli, "gbessel_quad", fail)
+    code, out, err = _run(capsys, ["gbessel", "--n", "3", "--u", "5.0",
+                                   "--v", "0.0"])
+    assert code == 4
+    assert "convergence error: quadrature did not converge" in err
+
+
 def test_verify_pass_and_exit_code(capsys):
     code, out, _ = _run(capsys, ["verify", "--seed", "42", "--samples", "15"])
     assert code == 0
@@ -458,6 +520,17 @@ def test_plot_envelope_and_ksweep(tmp_path, cfg_path):
     assert svg.read_bytes() == svg3.read_bytes()
 
 
+@pytest.mark.parametrize("rows", ["0.1,nan\n0.3,2.0\n0.5,3.0\n",
+                                  "0.1,1.0\n0.3,2.0\n0.5,nan\n"])
+def test_plot_skips_failed_ksweep_points(tmp_path, capsys, rows):
+    # cmd_ksweep writes a K,nan row for each K whose total failed
+    path = tmp_path / "ks.csv"
+    path.write_text("# sbxs ksweep\nK,total_au\n" + rows)
+    code, out, _ = _run(capsys, ["plot", "--input", str(path)])
+    assert code == 0
+    assert out.count("<circle") == 2 and not re.search(r"\bnan\b", out)
+
+
 def test_plot_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
@@ -466,7 +539,8 @@ def test_plot_rejects_garbage(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body", [None, "# sbxs envelope\nn,dsigma_au\nx,y\n",
-                                  "# sbxs envelope\nn,dsigma_au\n1,2\n3\n"])
+                                  "# sbxs envelope\nn,dsigma_au\n1,2\n3\n",
+                                  "# sbxs envelope\nn,dsigma_au\n"])
 def test_plot_unreadable_input_exit_2(tmp_path, capsys, body):
     path = tmp_path / "in.csv"  # missing when body is None
     if body is not None:
