@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import write_screened_table
-from sbxs import cli
 from sbxs.cli import SCHEMA, config_header, main, resolve_config
 from sbxs.errors import ConfigError, ConvergenceError
 from sbxs.xsection import VALID_FORMULAS
@@ -440,8 +439,8 @@ def test_convergence_error_exit_4(capsys, monkeypatch):
     def fail(*args):
         raise ConvergenceError("quadrature did not converge")
 
-    monkeypatch.setattr(cli, "gbessel_quad", fail)
-    code, out, err = _run(capsys, ["gbessel", "--n", "3", "--u", "5.0",
+    monkeypatch.setattr("sbxs.cli.gbessel_quad", fail)
+    code, _, err = _run(capsys, ["gbessel", "--n", "3", "--u", "5.0",
                                    "--v", "0.0"])
     assert code == 4
     assert "convergence error: quadrature did not converge" in err
