@@ -127,7 +127,6 @@ def resolve_config(cfg):
     ek = elec_c["kinetic_energy_eV"]
     _require(ek > 0.0, "electron: kinetic energy must be > 0")
     direction = elec_c.get("direction", [0.0, 0.0, 1.0])
-    _require(len(direction) == 3, "electron: direction must be a 3-vector")
 
     has_r = "screening_radius_au" in pot_c
     has_t = "table_path" in pot_c

@@ -101,7 +101,7 @@ def amplitude_matrix(channel, laser, dressed):
     q = channel.q_n
     kvec = omega * laser.khat
     kq = float(np.dot(kvec, q))
-    q2 = float(np.dot(q, q))
+    q2 = channel.q2
     pq = float(np.dot(dressed.p.vec3, q))
     eps = dressed.p.t
 

@@ -25,10 +25,23 @@ E2_DEFAULT = (0.0, 1.0, 0.0)
 KHAT_DEFAULT = (0.0, 0.0, 1.0)
 
 _ORTHO_TOL = 1.0e-14
+# e*Abar0 [eV] at most this, so that a0bar^2 stays finite.
+A0BAR_MAX = 1.0e150
 
 
 def _vec(x):
     return np.asarray(x, dtype=float)
+
+
+def _unit(v, what):
+    """v / |v| for a finite nonzero 3-vector v, scaled first (exactly) by the
+    power of two of its largest |component|, so |v| cannot over/underflow."""
+    v = _vec(v)
+    big = float(np.max(np.abs(v))) if v.shape == (3,) else math.nan
+    if not (math.isfinite(big) and big > 0.0):
+        raise DomainError(f"{what} must be a finite nonzero 3-vector: {v.tolist()}")
+    v = np.ldexp(v, -math.frexp(big)[1])
+    return v / float(np.linalg.norm(v))
 
 
 @dataclass(frozen=True)
@@ -64,7 +77,9 @@ class LaserField:
     """Plane monochromatic wave A(phi) = Abar0 (e1 cos(phi) + zeta e2 sin(phi)).
 
     a0bar stores e*Abar0 in eV, i.e. K * m; zeta = 0 is linear polarization
-    along e1, zeta = 1 circular.
+    along e1, zeta = 1 circular.  omega lies in (0, m) eV, below the electron
+    rest energy m, and a0bar in [0, A0BAR_MAX = 1e150] eV, so that omega^2
+    and a0bar^2 stay finite.
     """
 
     omega: float
@@ -78,12 +93,14 @@ class LaserField:
         object.__setattr__(self, "e1", _vec(self.e1))
         object.__setattr__(self, "e2", _vec(self.e2))
         object.__setattr__(self, "khat", _vec(self.khat))
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise DomainError(f"omega must be > 0, got {self.omega}")
+        if not 0.0 < self.omega < ELECTRON_MASS_EV:
+            raise DomainError(f"omega must lie in (0, {ELECTRON_MASS_EV}) eV, "
+                              f"below the electron rest energy, got {self.omega}")
         if not 0.0 <= self.zeta <= 1.0:
             raise DomainError(f"zeta must lie in [0, 1], got {self.zeta}")
-        if not (math.isfinite(self.a0bar) and self.a0bar >= 0.0):
-            raise DomainError(f"a0bar must be >= 0, got {self.a0bar}")
+        if not 0.0 <= self.a0bar <= A0BAR_MAX:
+            raise DomainError(
+                f"a0bar must lie in [0, {A0BAR_MAX:g}] eV, got {self.a0bar}")
         for a, b in ((self.e1, self.e2), (self.e1, self.khat), (self.e2, self.khat)):
             if abs(float(np.dot(a, b))) > _ORTHO_TOL:
                 raise DomainError("polarization triad must be orthogonal")
@@ -111,8 +128,8 @@ class LaserField:
 class DressedState:
     """Free four-momentum plus the wave-intensity parameter and quasimomentum.
 
-    alpha_pi, theta_pi = alpha_theta(Pivec / k.p) and pivec_mag = |Pivec|
-    are the dressing terms every channel of the state reads.
+    alpha_pi, theta_pi = alpha_theta(Pivec / k.p), pivec_mag = |Pivec| and
+    mstar = sqrt(Pi^2) are the dressing terms every channel reads.
     """
 
     p: FourVector
@@ -122,29 +139,28 @@ class DressedState:
     alpha_pi: float
     theta_pi: float
     pivec_mag: float
-
-    @property
-    def mstar2(self):
-        return self.Pi.mass2
+    mstar: float
 
 
 def dress(kinetic_energy, direction, laser):
     """Dressed state of an electron with the given kinetic energy [eV].
 
-    direction is the free-momentum direction (any nonzero 3-vector).
+    direction is the free-momentum direction (any finite nonzero 3-vector).
+    k.p must come out finite and > 0, else a DomainError: along khat,
+    E - p rounds to 0 or below at some energies from about 1e15 eV, and p
+    overflows above about 1e154 eV.
     """
     if not (math.isfinite(kinetic_energy) and kinetic_energy >= 0.0):
         raise DomainError(f"kinetic energy must be >= 0, got {kinetic_energy}")
-    d = _vec(direction)
-    norm = float(np.linalg.norm(d))
-    if norm == 0.0:
-        raise DomainError("electron direction must be a nonzero vector")
-    d = d / norm
+    d = _unit(direction, "electron direction")
     m = ELECTRON_MASS_EV
     energy = m + kinetic_energy
     p_mag = math.sqrt(kinetic_energy * (2.0 * m + kinetic_energy))
     p = FourVector.from_parts(energy, p_mag * d)
     kdotp = laser.k4.dot(p)
+    if not (math.isfinite(kdotp) and kdotp > 0.0):
+        raise DomainError(f"k.p must be finite and > 0, got {kdotp} eV^2 "
+                          f"at kinetic energy {kinetic_energy} eV")
     Z = laser.a0bar**2 / (4.0 * kdotp)
     shift = Z * (1.0 + laser.zeta**2)
     Pi = FourVector.from_parts(
@@ -153,7 +169,8 @@ def dress(kinetic_energy, direction, laser):
     alpha_pi, theta_pi = alpha_theta(Pi.vec3 / kdotp, laser)
     return DressedState(p=p, Z=Z, Pi=Pi, kdotp=kdotp, alpha_pi=alpha_pi,
                         theta_pi=theta_pi,
-                        pivec_mag=float(np.linalg.norm(Pi.vec3)))
+                        pivec_mag=float(np.linalg.norm(Pi.vec3)),
+                        mstar=math.sqrt(Pi.mass2))
 
 
 def alpha_theta(rho, laser):
@@ -176,28 +193,23 @@ def _frame_rhat(axis_hat, deflection, azimuth, laser):
     """Unit vector at `deflection` from axis_hat; azimuth 0 lies in the
     plane spanned by axis_hat and e1 (falls back to e2 when axis || e1)."""
     t1 = laser.e1 - float(np.dot(laser.e1, axis_hat)) * axis_hat
-    n1 = float(np.linalg.norm(t1))
-    if n1 < 1.0e-12:
+    if float(np.linalg.norm(t1)) < 1.0e-12:
         t1 = laser.e2 - float(np.dot(laser.e2, axis_hat)) * axis_hat
-        n1 = float(np.linalg.norm(t1))
-    t1 = t1 / n1
+    t1 = _unit(t1, "azimuth reference")
     t2 = np.cross(axis_hat, t1)
     r = (
         math.cos(deflection) * axis_hat
         + math.sin(deflection) * (math.cos(azimuth) * t1 + math.sin(azimuth) * t2)
     )
-    return r / float(np.linalg.norm(r))
+    return _unit(r, "observation direction")
 
 
 def deflection_frame(dressed, deflection, azimuth, laser):
     """Observation direction making `deflection` with the quasimomentum."""
     if not 0.0 <= deflection <= math.pi:
         raise DomainError(f"deflection must lie in [0, pi], got {deflection}")
-    pivec = dressed.Pi.vec3
-    norm = float(np.linalg.norm(pivec))
-    if norm == 0.0:
-        raise DomainError("quasimomentum has no direction")
-    return _frame_rhat(pivec / norm, deflection, azimuth, laser)
+    pihat = _unit(dressed.Pi.vec3, "quasimomentum")
+    return _frame_rhat(pihat, deflection, azimuth, laser)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +220,8 @@ class Channel:
     Pi0_final: float
     Pi_n: float
     q_n: np.ndarray
+    q2: float
+    q_perp2: float
     p_final: FourVector
     Z_final: float
     kdotp_final: float
@@ -232,8 +246,7 @@ def open_channel(dressed, n, rhat, laser):
     pivec = dressed.Pi.vec3
 
     Pi0f = Pi0 + n * omega
-    mstar = math.sqrt(dressed.mstar2)
-    if Pi0f < mstar:
+    if Pi0f < dressed.mstar:
         raise ChannelClosedError(n)
     pin2 = float(np.dot(pivec, pivec)) + n * omega * (2.0 * Pi0 + n * omega)
     Pi_n = math.sqrt(max(pin2, 0.0))
@@ -252,7 +265,8 @@ def open_channel(dressed, n, rhat, laser):
     alpha1, theta1 = alpha_theta(rho, laser)
     alpha2 = 0.5 * (Zf - dressed.Z) * (1.0 - zeta**2)
 
-    q_perp2 = max(float(np.dot(q, q)) - float(np.dot(laser.khat, q)) ** 2, 0.0)
+    q2 = float(np.dot(q, q))
+    q_perp2 = max(q2 - float(np.dot(laser.khat, q)) ** 2, 0.0)
     beta2 = laser.a0bar**2 * omega**2 * q_perp2 / (kdotpi * kdotpi_f)
 
     return Channel(
@@ -260,6 +274,8 @@ def open_channel(dressed, n, rhat, laser):
         Pi0_final=Pi0f,
         Pi_n=Pi_n,
         q_n=q,
+        q2=q2,
+        q_perp2=q_perp2,
         p_final=p_final,
         Z_final=Zf,
         kdotp_final=kdotpi_f,

@@ -23,10 +23,18 @@ CUSTOM_TABLE = "custom_table"
 # U~ in atomic units (hartree*bohr^3) -> natural units (eV^-2)
 _UT_AU_TO_NAT = HARTREE_EV / BOHR_INV_EV**3
 
+CHI_MAX = 1.0e150   # eV
+ZA_MAX = 1.0e100
+
 
 @dataclass(frozen=True, eq=False)
 class PotentialFT:
-    """Radial Fourier transform of the scattering potential."""
+    """Radial Fourier transform of the scattering potential.
+
+    A screened Coulomb potential has Za in (0, ZA_MAX = 1e100] and chi in
+    [0, CHI_MAX = 1e150] eV: chi^2 stays finite, and so does U~^2 wherever
+    q^2 + chi^2 exceeds 1e-55 eV^2.
+    """
 
     kind: str
     Za: float = 0.0
@@ -36,10 +44,12 @@ class PotentialFT:
 
     def __post_init__(self):
         if self.kind == SCREENED_COULOMB:
-            if not self.Za > 0.0:
-                raise DomainError(f"Za must be > 0, got {self.Za}")
-            if self.chi < 0.0:
-                raise DomainError(f"chi must be >= 0, got {self.chi}")
+            if not 0.0 < self.Za <= ZA_MAX:
+                raise DomainError(
+                    f"Za must lie in (0, {ZA_MAX:g}], got {self.Za}")
+            if not 0.0 <= self.chi <= CHI_MAX:
+                raise DomainError(
+                    f"chi must lie in [0, {CHI_MAX:g}] eV, got {self.chi}")
         elif self.kind != CUSTOM_TABLE:
             raise DomainError(f"unknown potential kind {self.kind!r}")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .dirac_oracle import xs_oracle
 from .errors import ChannelClosedError, ConvergenceError, DomainError
-from .kinematics import LaserField
+from .kinematics import LaserField, _unit
 from .potential import PotentialFT
 from .xsection import (
     PartialXS,
@@ -56,7 +56,7 @@ def _margin(alpha1):
 
 
 def _tail_done(px, vmax, tail_cut):
-    return px.value < tail_cut * vmax and abs(px.n) > _margin(px.alpha1)
+    return px.value <= tail_cut * vmax and abs(px.n) > _margin(px.alpha1)
 
 
 def _block(scenario, ns):
@@ -214,7 +214,7 @@ def random_scenarios(seed, count):
             direction = (0.0, 0.0, -1.0)
         else:
             vec = rng.normal(size=3)
-            direction = tuple(vec / np.linalg.norm(vec))
+            direction = tuple(_unit(vec, "direction"))
         azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
         laser = LaserField.from_K(1.17, K, zeta)
         out.append(

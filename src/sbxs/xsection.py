@@ -34,6 +34,7 @@ from .kinematics import (  # alpha_theta: unused here, traced by bench/run.py
     DressedState,
     LaserField,
     _frame_rhat,
+    _unit,
     alpha_theta,
     deflection_frame,
     dress,
@@ -186,18 +187,17 @@ def partial_xs_general_batch(scenario, channels):
         d = d_functions(channel, laser, dressed, row)
         amp = (eps * d.d_n + omega * dressed.Z * d.d2n
                - omega * dressed.alpha_pi * d.d1n_p)
-        q2 = float(np.dot(channel.q_n, channel.q_n))
-        q_perp2 = max(q2 - float(np.dot(laser.khat, channel.q_n)) ** 2, 0.0)
-        wave_factor = omega**2 * q_perp2 / (dressed.kdotp * channel.kdotp_final)
+        wave_factor = (omega**2 * channel.q_perp2
+                       / (dressed.kdotp * channel.kdotp_final))
 
         main = 4.0 * abs(amp) ** 2
-        recoil = -q2 * abs(d.d_n) ** 2
+        recoil = -channel.q2 * abs(d.d_n) ** 2
         wave = wave_factor * (
             d.dvec_abs2 - 0.5 * laser.a0bar**2 * (d.d_n * d.d2n.conjugate()).real
         )
 
         pref = _prefactor_au(scenario, dressed, channel)
-        out.append(PartialXS.from_terms(channel.n, channel.alpha1, q2,
+        out.append(PartialXS.from_terms(channel.n, channel.alpha1, channel.q2,
                                         main, recoil, wave, pref))
     return out
 
@@ -218,7 +218,7 @@ def partial_xs_circular(scenario, n):
 
     omega = laser.omega
     a1, t1 = channel.alpha1, channel.theta1
-    q2 = float(np.dot(channel.q_n, channel.q_n))
+    q2 = channel.q2
     pref = _prefactor_au(scenario, dressed, channel)
 
     if a1 == 0.0:
@@ -263,7 +263,7 @@ def partial_xs_linear(scenario, n):
     channel = scenario.channel(n)
 
     omega = laser.omega
-    q2 = float(np.dot(channel.q_n, channel.q_n))
+    q2 = channel.q2
     rho = (
         channel.p_final.vec3 / channel.kdotp_final
         - dressed.p.vec3 / dressed.kdotp
@@ -322,8 +322,7 @@ def _nonrel_eval(scenario, n):
     ekf = ek + n * laser.omega
     if ekf <= 0.0:
         raise ChannelClosedError(n, f"nonrelativistic channel n={n} closed")
-    d = np.asarray(scenario.direction, dtype=float)
-    phat = d / float(np.linalg.norm(d))
+    phat = _unit(scenario.direction, "electron direction")
     p_mag = math.sqrt(2.0 * m * ek)
     pf_mag = math.sqrt(2.0 * m * ekf)
     rhat = _frame_rhat(phat, scenario.deflection, scenario.azimuth, laser)

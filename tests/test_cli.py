@@ -227,6 +227,10 @@ def _on(command, mutate, *flags, names=None):
             names="potential: table_path"),
         _on("total", lambda c: c["run"].update(formula=None),
             names="run: formula"),
+        # finite, but past the range the solver represents
+        lambda c: c["laser"].update(photon_energy_eV=1e300),
+        lambda c: c["potential"].update(screening_radius_au=1e-300),
+        lambda c: c["electron"].update(kinetic_energy_eV=1e300),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):
@@ -245,6 +249,32 @@ def test_bad_configs_exit_2(tmp_path, capsys, mutate):
     assert code == 2
     names = getattr(mutate, "names", None)
     assert names is None or names in err
+
+
+@pytest.mark.parametrize("value", [1e-300, 1e-150, 1e150, 1e300])
+@pytest.mark.parametrize("section, key", [
+    ("laser", "photon_energy_eV"), ("electron", "kinetic_energy_eV"),
+    ("potential", "screening_radius_au"), ("potential", "Za"),
+    ("laser", "intensity_W_cm2")])
+def test_extreme_value_ends_in_a_typed_exit(tmp_path, capsys, section, key,
+                                            value):
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg[section][key] = value
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(cfg))
+    code, _, _ = _run(capsys, ["total", "--config", str(path)])
+    assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("direction", [[0, 0, 1e308], [0, 0, 1e-320]])
+def test_direction_at_any_scale(tmp_path, capsys, direction):
+    cfg = json.loads((HERE.parent / "demos" / "fig1a.json").read_text())
+    cfg["electron"]["direction"] = direction
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = _run(capsys, ["total", "--config", str(path)])
+    assert code == 0
+    assert out == (HERE / "golden" / "total.txt").read_text()
 
 
 def test_tail_cut_flag_checked_and_echoed(capsys, cfg_path):
@@ -342,6 +372,20 @@ def test_screened_coulomb_run_leaves_scipy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(table)],
                           cwd=root, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_too_weak_potential_totals_zero(tmp_path):
+    """Every channel underflows to 0: the envelope ends at the Bessel-support
+    margin instead of running on."""
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg["potential"]["Za"] = 1e-300
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "sbxs.cli", "total",
+                           "--config", str(path)], env=env, timeout=30,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "0.0\n"), proc.stderr
 
 
 def test_partial_csv(capsys, cfg_path):

@@ -5,8 +5,10 @@ import pytest
 
 from sbxs.errors import ChannelClosedError, DomainError
 from sbxs.kinematics import (
+    A0BAR_MAX,
     FourVector,
     LaserField,
+    _unit,
     alpha_theta,
     deflection_frame,
     dress,
@@ -92,6 +94,34 @@ def test_free_limit_continuity():
                       laser(K=1e-8))
     assert ch.alpha1 < 1e-6
     assert abs(ch.alpha2) < 1e-12
+
+
+def test_laser_range_rules():
+    for omega in (M, 1e300, math.nan):
+        with pytest.raises(DomainError, match="rest energy"):
+            LaserField(omega, 1.0, 0.0)
+    LaserField(OMEGA, 1.0, A0BAR_MAX)
+    with pytest.raises(DomainError, match="1e\\+150"):
+        LaserField(OMEGA, 1.0, 2.0 * A0BAR_MAX)
+
+
+@pytest.mark.parametrize("v", [(0.3, 0.2, 0.9), (-1.0, 1e-9, 7.0),
+                               (0.0, 0.0, 1.0)])
+def test_unit_is_the_plain_quotient_at_any_scale(v):
+    plain = np.asarray(v) / np.linalg.norm(v)
+    for power in (-900, -500, 0, 500, 1020):
+        scaled = np.ldexp(np.asarray(v), power)
+        assert _unit(scaled, "v").tolist() == plain.tolist()
+
+
+def test_dress_along_k_needs_representable_kdotp():
+    # along khat E - p rounds to 0 or below (1e15, 1e16, 1e20 eV); p
+    # overflows at 1e300 eV
+    for ek, direction in ((1e15, (0, 0, 1)), (1e16, (0, 0, 1)),
+                          (1e20, (0, 0, 1)), (1e300, (1, 0, 0))):
+        with pytest.raises(DomainError, match="k.p"):
+            dress(ek, direction, laser())
+    assert dress(1e6, (0, 0, 1), laser()).kdotp > 0.0
 
 
 def test_dress_rejects_bad_input():

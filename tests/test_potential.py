@@ -5,7 +5,7 @@ import pytest
 
 from conftest import write_screened_table
 from sbxs.errors import DomainError
-from sbxs.potential import PotentialFT, u_tilde
+from sbxs.potential import CHI_MAX, ZA_MAX, PotentialFT, u_tilde
 from sbxs.units import BOHR_INV_EV, FINE_STRUCTURE, screening_chi_ev
 
 
@@ -64,6 +64,17 @@ def test_construction_guards():
         PotentialFT.screened_coulomb(1.0, -5.0)
     with pytest.raises(DomainError):
         PotentialFT(kind="bogus")
+
+
+def test_screened_coulomb_bounds():
+    for za, chi in ((2.0 * ZA_MAX, 1.0), (1.0, 2.0 * CHI_MAX), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            PotentialFT.screened_coulomb(za, chi)
+    # at the bounds chi^2, and U~^2 down to q^2 + chi^2 = 1e-55 eV^2, stay finite
+    assert math.isfinite(u_tilde(PotentialFT.screened_coulomb(1.0, CHI_MAX),
+                                 (0, 0, 0)))
+    pot = PotentialFT.screened_coulomb(ZA_MAX, 0.0)
+    assert math.isfinite(u_tilde(pot, (math.sqrt(1e-55), 0, 0)) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,9 @@ def test_dressing_terms_built_once_per_scenario(monkeypatch, pot_fig):
     [
         (2700.0, 0.17, (0.0, 0.0, 0.0)),   # zero direction
         (0.0, 0.0, (0.0, 0.0, 1.0)),       # at rest, no field: Pi = 0
+        (2700.0, 0.17, (0.0, 0.0, 1.0, 5.0)),  # not a 3-vector
+        (2700.0, 0.17, (math.nan, 0.0, 1.0)),
+        (2700.0, 0.17, (math.inf, 0.0, 0.0)),
     ],
 )
 def test_bad_geometry_raises_at_construction(pot_fig, ek, K, direction):
