@@ -104,7 +104,8 @@ def resolve_config(cfg):
     Returns (resolved_dict, Scenario, run_options).  The resolved dict is
     what gets embedded in output headers: photon energy in eV, field
     strength as K, angles as given.  units, PotentialFT, LaserField and
-    Scenario check the ranges; their errors become a ConfigError.
+    Scenario check the ranges; their errors become a ConfigError that
+    names the config keys the failing step reads.
     """
     cfg = _typed(cfg)
     for section in ("laser", "electron", "potential", "geometry"):
@@ -125,7 +126,6 @@ def resolve_config(cfg):
 
     _require("kinetic_energy_eV" in elec_c, "electron: kinetic_energy_eV missing")
     ek = elec_c["kinetic_energy_eV"]
-    _require(ek > 0.0, "electron: kinetic energy must be > 0")
     direction = elec_c.get("direction", [0.0, 0.0, 1.0])
 
     has_r = "screening_radius_au" in pot_c
@@ -137,27 +137,30 @@ def resolve_config(cfg):
 
     _require("deflection_mrad" in geo_c, "geometry: deflection_mrad missing")
     deflection_mrad = geo_c["deflection_mrad"]
-    _require(0.0 < deflection_mrad * 1.0e-3 <= math.pi,
-             f"geometry: deflection_mrad {deflection_mrad!r} not in (0, 1000 pi]")
     azimuth_deg = geo_c.get("azimuth_deg", 0.0)
 
     formula = run_c.get("formula", "general")
     tail_cut = run_c.get("tail_cut", TAIL_CUT_DEFAULT)
     _require(0.0 < tail_cut < 1.0, "run: tail_cut must lie in (0, 1)")
 
+    where = "laser"  # the config keys read by the step that may fail
     try:
         omega = (laser_c["photon_energy_eV"] if has_w
                  else units.wavelength_nm_to_ev(laser_c["wavelength_nm"]))
         K = (units.intensity_to_K(laser_c["intensity_W_cm2"], omega)
              if has_i else laser_c["K"])
         zeta = laser_c.get("zeta", 0.0)
+        laser = LaserField.from_K(omega, K, zeta)
+        where = "potential"
         if has_r:
             potential = PotentialFT.screened_coulomb_au(
                 pot_c["Za"], pot_c["screening_radius_au"])
         else:
             potential = PotentialFT.from_table(pot_c["table_path"])
+        where = ("electron: kinetic_energy_eV, direction / geometry: "
+                 "deflection_mrad, azimuth_deg / run: formula / laser")
         scenario = Scenario(
-            laser=LaserField.from_K(omega, K, zeta),
+            laser=laser,
             kinetic_energy=ek,
             direction=tuple(direction),
             potential=potential,
@@ -166,7 +169,7 @@ def resolve_config(cfg):
             formula=formula,
         )
     except (DomainError, OSError) as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"{where}: {exc}")
 
     resolved = {
         "laser": {"photon_energy_eV": omega, "K": K, "zeta": zeta},

@@ -189,7 +189,7 @@ def _sweep(xs, nmaxs, windows):
 
 def _tail_negligible(n, x):
     """True when |J_n(x)| is certainly below ~1e-305 (n >= 0, x >= 0)."""
-    if n < 8 or x >= n:
+    if n < 8 or not 0.0 < x < n:
         return False
     # |J_n(x)| <= (x/2)^n / n! * exp(x^2 / (4(n+1))) from the defining series
     logb = n * math.log(x / 2.0) - math.lgamma(n + 1.0) + x * x / (4.0 * (n + 1.0))
@@ -199,28 +199,16 @@ def _tail_negligible(n, x):
 def bessel_j(n, x):
     """Ordinary Bessel function J_n(x), integer n, real x.
 
-    Parity J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x) is applied
-    exactly; cost is O(max(|n|, |x|)).
+    _jn_lookup applies the parity in n and in x; cost is O(max(|n|, |x|)).
     """
     n = int(n)
     if abs(n) > _MAX_ORDER:
         raise DomainError(f"|n| <= {_MAX_ORDER} required, got {n}")
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -sign
-    if x == 0.0:
-        return sign if n == 0 else 0.0
-    if _tail_negligible(n, x):
+    if _tail_negligible(abs(n), abs(x)):
         return 0.0
-    return sign * _jn_row(x, n)[n]
+    return _jn_lookup(_jn_row(abs(x), abs(n)), np.array([n]), x < 0.0)[0]
 
 
 def _jn_lookup(row, orders, neg_arg, lo=0):
