@@ -27,6 +27,8 @@ KHAT_DEFAULT = (0.0, 0.0, 1.0)
 _ORTHO_TOL = 1.0e-14
 # e*Abar0 [eV] at most this, so that a0bar^2 stays finite.
 A0BAR_MAX = 1.0e150
+# Quasienergy Pi0 [eV] at most this, so that Pivec.Pivec stays finite.
+PI0_MAX = 1.0e150
 
 
 def _vec(x):
@@ -129,7 +131,8 @@ class DressedState:
     """Free four-momentum plus the wave-intensity parameter and quasimomentum.
 
     alpha_pi, theta_pi = alpha_theta(Pivec / k.p), pivec_mag = |Pivec| and
-    mstar = sqrt(Pi^2) are the dressing terms every channel reads.
+    the effective mass mstar = sqrt(Pi^2) are the dressing terms every
+    channel reads.
     """
 
     p: FourVector
@@ -148,7 +151,11 @@ def dress(kinetic_energy, direction, laser):
     direction is the free-momentum direction (any finite nonzero 3-vector).
     k.p must come out finite and > 0, else a DomainError: along khat,
     E - p rounds to 0 or below at some energies from about 1e15 eV, and p
-    overflows above about 1e154 eV.
+    overflows above about 1e154 eV.  The quasienergy Pi0 must come out at
+    most PI0_MAX = 1e150 eV, else a DomainError: Z = a0bar^2 / (4 k.p)
+    grows with the intensity and as omega falls.  mstar is taken from the
+    mass shell, sqrt(m^2 + a0bar^2 (1 + zeta^2) / 2), not from Pi.Pi, whose
+    two terms cancel to every digit once a0bar >> m.
     """
     if not (math.isfinite(kinetic_energy) and kinetic_energy >= 0.0):
         raise DomainError(f"kinetic energy must be >= 0, got {kinetic_energy}")
@@ -166,11 +173,15 @@ def dress(kinetic_energy, direction, laser):
     Pi = FourVector.from_parts(
         p.t + laser.omega * shift, p.vec3 + laser.omega * shift * laser.khat
     )
+    if not Pi.t <= PI0_MAX:
+        raise DomainError(f"quasienergy Pi0 must be <= {PI0_MAX:g} eV, got "
+                          f"{Pi.t} eV (Z = a0bar^2 / (4 k.p) = {Z})")
     alpha_pi, theta_pi = alpha_theta(Pi.vec3 / kdotp, laser)
     return DressedState(p=p, Z=Z, Pi=Pi, kdotp=kdotp, alpha_pi=alpha_pi,
                         theta_pi=theta_pi,
                         pivec_mag=float(np.linalg.norm(Pi.vec3)),
-                        mstar=math.sqrt(Pi.mass2))
+                        mstar=math.sqrt(m * m + laser.a0bar**2
+                                        * (1.0 + laser.zeta**2) / 2.0))
 
 
 def alpha_theta(rho, laser):

@@ -12,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import write_screened_table
 from sbxs.cli import SCHEMA, config_header, main, resolve_config
 from sbxs.errors import ConfigError, ConvergenceError
-from sbxs.xsection import VALID_FORMULAS
+from sbxs.kinematics import LaserField
+from sbxs.potential import PotentialFT
+from sbxs.scan import total_xs
+from sbxs.units import intensity_to_K
+from sbxs.xsection import VALID_FORMULAS, Scenario
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -231,6 +235,12 @@ def _on(command, mutate, *flags, names=None):
         lambda c: c["laser"].update(photon_energy_eV=1e300),
         lambda c: c["potential"].update(screening_radius_au=1e-300),
         lambda c: c["electron"].update(kinetic_energy_eV=1e300),
+        # a0bar in range, but the quasienergy Pi0 = E + omega Z (1 + zeta^2)
+        # past dress's PI0_MAX
+        *(_on("total", lambda c, i=i: c["laser"].update(intensity_W_cm2=i),
+              names="Pi0") for i in (1e200, 1e250, 1e300)),
+        _on("total", lambda c: c["laser"].update(photon_energy_eV=1e-100),
+            names="Pi0"),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, mutate):
@@ -275,6 +285,51 @@ def test_direction_at_any_scale(tmp_path, capsys, direction):
     code, out, _ = _run(capsys, ["total", "--config", str(path)])
     assert code == 0
     assert out == (HERE / "golden" / "total.txt").read_text()
+
+
+def _mrad_leaving(bound, toward):
+    """The first deflection_mrad from `bound` toward `toward` whose radian
+    value mrad * 1e-3 (what the Scenario gets) lies outside [0, pi]."""
+    mrad = bound
+    while 0.0 <= mrad * 1.0e-3 <= math.pi:
+        mrad = math.nextafter(mrad, toward)
+    return mrad
+
+
+@pytest.mark.parametrize("section, key, edge, outside", [
+    ("electron", "kinetic_energy_eV", 0.0, -5e-324),
+    ("electron", "kinetic_energy_eV", 5e-324, -5e-324),
+    ("geometry", "deflection_mrad", 0.0, _mrad_leaving(0.0, -1.0)),
+    ("geometry", "deflection_mrad", 1000.0 * math.pi,
+     _mrad_leaving(1000.0 * math.pi, 4000.0)),
+])
+def test_cli_accepts_what_the_library_accepts(tmp_path, capsys, section, key,
+                                              edge, outside):
+    cfg = json.loads((HERE.parent / "demos" / "fig1a.json").read_text())
+    path = tmp_path / "edge.json"
+    cfg[section][key] = edge
+    path.write_text(json.dumps(cfg))
+    laser_c, elec_c, pot_c, geo_c = (cfg[k] for k in
+                                     ("laser", "electron", "potential", "geometry"))
+    omega = laser_c["photon_energy_eV"]
+    scenario = Scenario(
+        laser=LaserField.from_K(
+            omega, intensity_to_K(laser_c["intensity_W_cm2"], omega),
+            laser_c["zeta"]),
+        kinetic_energy=elec_c["kinetic_energy_eV"],
+        direction=tuple(elec_c["direction"]),
+        potential=PotentialFT.screened_coulomb_au(pot_c["Za"],
+                                                  pot_c["screening_radius_au"]),
+        deflection=geo_c["deflection_mrad"] * 1.0e-3,
+        azimuth=math.radians(geo_c["azimuth_deg"]),
+    )
+    code, out, _ = _run(capsys, ["total", "--config", str(path)])
+    assert (code, out) == (0, f"{float(total_xs(scenario))!r}\n")
+    cfg[section][key] = outside
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, ["total", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert f"{section}: " in err and key in err
 
 
 def test_tail_cut_flag_checked_and_echoed(capsys, cfg_path):

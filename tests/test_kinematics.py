@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sbxs.errors import ChannelClosedError, DomainError
 from sbxs.kinematics import (
     A0BAR_MAX,
+    PI0_MAX,
     FourVector,
     LaserField,
     _unit,
@@ -69,6 +71,29 @@ def test_effective_mass_shell():
     assert ds2.Pi.mass2 == pytest.approx(
         M**2 + las2.a0bar**2 * (1 + 0.3**2) / 2.0, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("K", [0.17, 906.0, 9e4, 9e8])
+def test_effective_mass_is_the_mass_shell_value(K):
+    # Pi.Pi cancels to 1e-3 relative at K = 9e4 and to 0.0 at K = 9e8 on
+    # fig1a; m* is the shell value, here in 50-digit decimal arithmetic
+    las = laser(K=K)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        shell = (Decimal(M) ** 2 + Decimal(las.a0bar) ** 2
+                 * (1 + Decimal(las.zeta) ** 2) / 2).sqrt()
+    mstar = dress(2700.0, (0, 0, 1), las).mstar
+    assert abs(Decimal(mstar) - shell) <= Decimal(1e-15) * shell
+
+
+def test_dress_bounds_the_quasienergy():
+    # Z = a0bar^2 / (4 k.p) takes Pi0 past PI0_MAX at a large a0bar or a
+    # small omega; below it Pivec.Pivec stays finite
+    for omega, K in ((1.17, 1e134), (1e-100, 1e100)):
+        with pytest.raises(DomainError, match="Pi0 must be <= 1e\\+150"):
+            dress(2700.0, (0, 0, 1), LaserField.from_K(omega, K, 1.0))
+    ds = dress(2700.0, (0, 0, 1), laser(K=1e70))
+    assert ds.Pi.t <= PI0_MAX and math.isfinite(ds.pivec_mag)
 
 
 def test_rest_limit_Z():
