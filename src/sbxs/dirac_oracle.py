@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import OracleInconsistencyError
-from .kinematics import alpha_theta
+from .kinematics import KHAT, alpha_theta
 from .potential import u_tilde
 from .units import ELECTRON_MASS_EV, xs_to_atomic_units
 from .xsection import FOUR_PI_SQ, d_functions
@@ -99,7 +99,7 @@ def amplitude_matrix(channel, laser, dressed):
     omega = laser.omega
     kp, kpf = dressed.kdotp, channel.kdotp_final
     q = channel.q_n
-    kvec = omega * laser.khat
+    kvec = omega * KHAT
     kq = float(np.dot(kvec, q))
     q2 = channel.q2
     pq = float(np.dot(dressed.p.vec3, q))

@@ -1,7 +1,11 @@
 """Laser-field geometry, dressed electron states and channel kinematics.
 
 Metric is (+,-,-,-); all scalar products are relativistic, a.b = a0*b0 - avec.bvec.
-The wave four-vector is k = omega*(1, khat) and the inner-field state is
+The lab frame is fixed: the wave travels along KHAT = +z and its
+polarization axes are E1 = x and E2 = y.  Electron and observation
+directions are given in this frame; rotating the wave's axes is only a
+change of coordinates, so no other orientation is offered.  The wave
+four-vector is k = omega*(1, KHAT) and the inner-field state is
 characterized by the quasimomentum
 
     Pi = p + k * Z * (1 + zeta^2),      Z = (e*Abar0)^2 / (4 k.p),
@@ -12,19 +16,18 @@ quasimomentum magnitude Pi_n = sqrt(Pivec^2 + n*omega*(2*Pi0 + n*omega)).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ChannelClosedError, DomainError
 from .units import ELECTRON_MASS_EV
 
-# Fixed global frame: wave propagates along z, polarization axes along x, y.
-E1_DEFAULT = (1.0, 0.0, 0.0)
-E2_DEFAULT = (0.0, 1.0, 0.0)
-KHAT_DEFAULT = (0.0, 0.0, 1.0)
+# Fixed lab frame: the wave travels along z, polarization axes along x, y.
+E1 = np.array([1.0, 0.0, 0.0])
+E2 = np.array([0.0, 1.0, 0.0])
+KHAT = np.array([0.0, 0.0, 1.0])
 
-_ORTHO_TOL = 1.0e-14
 # e*Abar0 [eV] at most this, so that a0bar^2 stays finite.
 A0BAR_MAX = 1.0e150
 # Quasienergy Pi0 [eV] at most this, so that Pivec.Pivec stays finite.
@@ -76,10 +79,11 @@ class FourVector:
 
 @dataclass(frozen=True, eq=False)
 class LaserField:
-    """Plane monochromatic wave A(phi) = Abar0 (e1 cos(phi) + zeta e2 sin(phi)).
+    """Plane monochromatic wave A(phi) = Abar0 (E1 cos(phi) + zeta E2 sin(phi))
+    travelling along KHAT, in the fixed lab frame of this module.
 
     a0bar stores e*Abar0 in eV, i.e. K * m; zeta = 0 is linear polarization
-    along e1, zeta = 1 circular.  omega lies in (0, m) eV, below the electron
+    along E1, zeta = 1 circular.  omega lies in (0, m) eV, below the electron
     rest energy m, and a0bar in [0, A0BAR_MAX = 1e150] eV, so that omega^2
     and a0bar^2 stay finite.
     """
@@ -87,14 +91,8 @@ class LaserField:
     omega: float
     zeta: float
     a0bar: float
-    e1: np.ndarray = field(default=E1_DEFAULT)
-    e2: np.ndarray = field(default=E2_DEFAULT)
-    khat: np.ndarray = field(default=KHAT_DEFAULT)
 
     def __post_init__(self):
-        object.__setattr__(self, "e1", _vec(self.e1))
-        object.__setattr__(self, "e2", _vec(self.e2))
-        object.__setattr__(self, "khat", _vec(self.khat))
         if not 0.0 < self.omega < ELECTRON_MASS_EV:
             raise DomainError(f"omega must lie in (0, {ELECTRON_MASS_EV}) eV, "
                               f"below the electron rest energy, got {self.omega}")
@@ -103,12 +101,6 @@ class LaserField:
         if not 0.0 <= self.a0bar <= A0BAR_MAX:
             raise DomainError(
                 f"a0bar must lie in [0, {A0BAR_MAX:g}] eV, got {self.a0bar}")
-        for a, b in ((self.e1, self.e2), (self.e1, self.khat), (self.e2, self.khat)):
-            if abs(float(np.dot(a, b))) > _ORTHO_TOL:
-                raise DomainError("polarization triad must be orthogonal")
-        for v in (self.e1, self.e2, self.khat):
-            if abs(float(np.dot(v, v)) - 1.0) > _ORTHO_TOL:
-                raise DomainError("polarization triad must be unit-normed")
 
     @property
     def K(self):
@@ -116,11 +108,11 @@ class LaserField:
 
     @property
     def k4(self):
-        return FourVector.from_parts(self.omega, self.omega * self.khat)
+        return FourVector.from_parts(self.omega, self.omega * KHAT)
 
     @classmethod
-    def from_K(cls, omega, K, zeta, e1=E1_DEFAULT, e2=E2_DEFAULT, khat=KHAT_DEFAULT):
-        return cls(omega, zeta, K * ELECTRON_MASS_EV, e1, e2, khat)
+    def from_K(cls, omega, K, zeta):
+        return cls(omega, zeta, K * ELECTRON_MASS_EV)
 
     def with_K(self, K):
         return replace(self, a0bar=K * ELECTRON_MASS_EV)
@@ -149,7 +141,7 @@ def dress(kinetic_energy, direction, laser):
     """Dressed state of an electron with the given kinetic energy [eV].
 
     direction is the free-momentum direction (any finite nonzero 3-vector).
-    k.p must come out finite and > 0, else a DomainError: along khat,
+    k.p must come out finite and > 0, else a DomainError: along KHAT,
     E - p rounds to 0 or below at some energies from about 1e15 eV, and p
     overflows above about 1e154 eV.  The quasienergy Pi0 must come out at
     most PI0_MAX = 1e150 eV, else a DomainError: Z = a0bar^2 / (4 k.p)
@@ -171,7 +163,7 @@ def dress(kinetic_energy, direction, laser):
     Z = laser.a0bar**2 / (4.0 * kdotp)
     shift = Z * (1.0 + laser.zeta**2)
     Pi = FourVector.from_parts(
-        p.t + laser.omega * shift, p.vec3 + laser.omega * shift * laser.khat
+        p.t + laser.omega * shift, p.vec3 + laser.omega * shift * KHAT
     )
     if not Pi.t <= PI0_MAX:
         raise DomainError(f"quasienergy Pi0 must be <= {PI0_MAX:g} eV, got "
@@ -192,20 +184,20 @@ def alpha_theta(rho, laser):
     vanishes (every theta-dependent term then carries a factor alpha).
     """
     r = _vec(rho)
-    c1 = float(np.dot(r, laser.e1))
-    c2 = laser.zeta * float(np.dot(r, laser.e2))
+    c1 = float(np.dot(r, E1))
+    c2 = laser.zeta * float(np.dot(r, E2))
     alpha = laser.a0bar * math.hypot(c1, c2)
     if alpha == 0.0:
         return 0.0, 0.0
     return alpha, math.atan2(c2, c1)
 
 
-def _frame_rhat(axis_hat, deflection, azimuth, laser):
+def _frame_rhat(axis_hat, deflection, azimuth):
     """Unit vector at `deflection` from axis_hat; azimuth 0 lies in the
-    plane spanned by axis_hat and e1 (falls back to e2 when axis || e1)."""
-    t1 = laser.e1 - float(np.dot(laser.e1, axis_hat)) * axis_hat
+    plane spanned by axis_hat and E1 (falls back to E2 when axis || E1)."""
+    t1 = E1 - float(np.dot(E1, axis_hat)) * axis_hat
     if float(np.linalg.norm(t1)) < 1.0e-12:
-        t1 = laser.e2 - float(np.dot(laser.e2, axis_hat)) * axis_hat
+        t1 = E2 - float(np.dot(E2, axis_hat)) * axis_hat
     t1 = _unit(t1, "azimuth reference")
     t2 = np.cross(axis_hat, t1)
     r = (
@@ -215,12 +207,12 @@ def _frame_rhat(axis_hat, deflection, azimuth, laser):
     return _unit(r, "observation direction")
 
 
-def deflection_frame(dressed, deflection, azimuth, laser):
+def deflection_frame(dressed, deflection, azimuth):
     """Observation direction making `deflection` with the quasimomentum."""
     if not 0.0 <= deflection <= math.pi:
         raise DomainError(f"deflection must lie in [0, pi], got {deflection}")
     pihat = _unit(dressed.Pi.vec3, "quasimomentum")
-    return _frame_rhat(pihat, deflection, azimuth, laser)
+    return _frame_rhat(pihat, deflection, azimuth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,12 +255,12 @@ def open_channel(dressed, n, rhat, laser):
     Pi_n = math.sqrt(max(pin2, 0.0))
 
     pivec_f = Pi_n * r
-    q = pivec_f - pivec - n * omega * laser.khat
-    kdotpi_f = omega * (Pi0f - float(np.dot(laser.khat, pivec_f)))
+    q = pivec_f - pivec - n * omega * KHAT
+    kdotpi_f = omega * (Pi0f - float(np.dot(KHAT, pivec_f)))
     Zf = laser.a0bar**2 / (4.0 * kdotpi_f)
     shift = Zf * (1.0 + zeta**2)
     p_final = FourVector.from_parts(
-        Pi0f - omega * shift, pivec_f - omega * shift * laser.khat
+        Pi0f - omega * shift, pivec_f - omega * shift * KHAT
     )
 
     kdotpi = dressed.kdotp  # k.Pi = k.p exactly (k^2 = 0)
@@ -277,7 +269,7 @@ def open_channel(dressed, n, rhat, laser):
     alpha2 = 0.5 * (Zf - dressed.Z) * (1.0 - zeta**2)
 
     q2 = float(np.dot(q, q))
-    q_perp2 = max(q2 - float(np.dot(laser.khat, q)) ** 2, 0.0)
+    q_perp2 = max(q2 - float(np.dot(KHAT, q)) ** 2, 0.0)
     beta2 = laser.a0bar**2 * omega**2 * q_perp2 / (kdotpi * kdotpi_f)
 
     return Channel(

@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import ChannelClosedError, DomainError, LinearPathUnstableError
 from .gbessel import bessel_j, gbessel_row, gbessel_rows
-from .kinematics import (  # alpha_theta: unused here, traced by bench/run.py
+from .kinematics import (
+    E1,
+    E2,
     DressedState,
     LaserField,
     _frame_rhat,
@@ -59,7 +61,7 @@ class Scenario:
 
     deflection/azimuth are in radians; deflection is measured between the
     initial and final quasimomenta, azimuth 0 puts the final momentum in
-    the plane spanned by the initial quasimomentum and e1.  The dressed
+    the plane spanned by the initial quasimomentum and E1.  The dressed
     state and the observation direction are built (and checked) once here.
     """
 
@@ -78,7 +80,7 @@ class Scenario:
             raise DomainError(f"unknown formula {self.formula!r}")
         object.__setattr__(self, "direction", tuple(float(c) for c in self.direction))
         dressed = dress(self.kinetic_energy, self.direction, self.laser)
-        rhat = deflection_frame(dressed, self.deflection, self.azimuth, self.laser)
+        rhat = deflection_frame(dressed, self.deflection, self.azimuth)
         object.__setattr__(self, "_dressed", dressed)
         object.__setattr__(self, "_rhat", rhat)
 
@@ -159,8 +161,8 @@ def d_functions(channel, laser, dressed, row=None):
 
     em = cmath.exp(-1j * t1)
     ep = cmath.exp(1j * t1)
-    pol_m = 0.5 * (laser.e1 + 1j * laser.zeta * laser.e2)
-    pol_p = 0.5 * (laser.e1 - 1j * laser.zeta * laser.e2)
+    pol_m = 0.5 * (E1 + 1j * laser.zeta * E2)
+    pol_p = 0.5 * (E1 - 1j * laser.zeta * E2)
     dvec = laser.a0bar * (pol_m * jm1 * em + pol_p * jp1 * ep)
     dvec_abs2 = float(np.sum(np.abs(dvec) ** 2))
 
@@ -250,7 +252,7 @@ def partial_xs_circular(scenario, n):
 def partial_xs_linear(scenario, n):
     """Closed form for zeta = 0 via the real two-argument function J_n(u, v).
 
-    u is the signed projection eAbar0 * e1.(Pivec'/kPi' - Pivec/kPi) and
+    u is the signed projection eAbar0 * E1.(Pivec'/kPi' - Pivec/kPi) and
     v = (Z - Z')/2; alpha' keeps the matching signed projection of the
     initial quasimomentum, which is what makes the form agree with the
     general path for oblique geometries.  Refuses when |v| falls below the
@@ -268,7 +270,7 @@ def partial_xs_linear(scenario, n):
         channel.p_final.vec3 / channel.kdotp_final
         - dressed.p.vec3 / dressed.kdotp
     )
-    u = laser.a0bar * float(np.dot(rho, laser.e1))
+    u = laser.a0bar * float(np.dot(rho, E1))
     v = 0.5 * (dressed.Z - channel.Z_final)
     if abs(v) <= V_FLOOR * max(1.0, abs(u)):
         raise LinearPathUnstableError(
@@ -279,7 +281,7 @@ def partial_xs_linear(scenario, n):
     jn = row[n].real
     i_n = 0.5 * (row[n - 1].real + row[n + 1].real)
 
-    alpha_signed = laser.a0bar * float(np.dot(dressed.Pi.vec3, laser.e1)) / dressed.kdotp
+    alpha_signed = laser.a0bar * float(np.dot(dressed.Pi.vec3, E1)) / dressed.kdotp
     eps36 = 2.0 * dressed.Pi.t + n * omega * dressed.Z / v
     alpha_pr = alpha_signed + u * dressed.Z / (2.0 * v)
     beta2 = channel.beta2
@@ -325,12 +327,9 @@ def _nonrel_eval(scenario, n):
     phat = _unit(scenario.direction, "electron direction")
     p_mag = math.sqrt(2.0 * m * ek)
     pf_mag = math.sqrt(2.0 * m * ekf)
-    rhat = _frame_rhat(phat, scenario.deflection, scenario.azimuth, laser)
+    rhat = _frame_rhat(phat, scenario.deflection, scenario.azimuth)
     q = pf_mag * rhat - p_mag * phat
-
-    c1 = float(np.dot(q, laser.e1))
-    c2 = laser.zeta * float(np.dot(q, laser.e2))
-    a1 = laser.a0bar * math.hypot(c1, c2) / (m * laser.omega)
+    a1 = alpha_theta(q, laser)[0] / (m * laser.omega)
 
     ut = u_tilde(scenario.potential, q)
     value_nat = (pf_mag / p_mag) * bessel_j(n, a1) ** 2 * (
@@ -344,7 +343,7 @@ def partial_xs_nonrel(scenario, n):
 
     Nonrelativistic momenta |p| = sqrt(2 m ek), final kinetic energy
     ek + n*omega, q = p' - p, and the single Bessel argument
-    a1 = eAbar0 sqrt((q.e1)^2 + zeta^2 (q.e2)^2)/(m omega):
+    a1 = eAbar0 sqrt((q.E1)^2 + zeta^2 (q.E2)^2)/(m omega):
 
         dsigma^(n)/dOmega = (|p'|/|p|) J_n(a1)^2 (2 m U~(q)/(4 pi))^2.
     """

@@ -12,9 +12,9 @@ from sbxs.dirac_oracle import (
     spinor,
     xs_oracle,
 )
-from sbxs.kinematics import FourVector, LaserField
+from sbxs.kinematics import FourVector
 from sbxs.units import ELECTRON_MASS_EV
-from sbxs.xsection import Scenario, elastic_born, partial_xs_general
+from sbxs.xsection import elastic_born, partial_xs_general
 
 M = ELECTRON_MASS_EV
 I4 = np.eye(4)
@@ -163,31 +163,16 @@ def test_oracle_matches_general_randomized(pot_fig):
 
 
 def test_oracle_frame_rotation_invariance(pot_fig, k_fig):
-    # rotating e1, e2, the electron direction and the azimuth reference
-    # about khat together must leave the cross section unchanged
-    phi = 0.83
-    c, s_ = math.cos(phi), math.sin(phi)
-    rot = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
-    direction = np.array([0.3, 0.2, 0.9])
-    base = Scenario(
-        laser=LaserField.from_K(1.17, k_fig, 0.5),
-        kinetic_energy=2700.0,
-        direction=tuple(direction),
-        potential=pot_fig,
-        deflection=6e-3,
-        azimuth=1.1,
-    )
-    rotated = Scenario(
-        laser=LaserField.from_K(1.17, k_fig, 0.5,
-                                e1=tuple(rot @ np.array([1.0, 0, 0])),
-                                e2=tuple(rot @ np.array([0, 1.0, 0]))),
-        kinetic_energy=2700.0,
-        direction=tuple(rot @ direction),
-        potential=pot_fig,
-        deflection=6e-3,
-        azimuth=1.1,
-    )
-    for n in (-4, 0, 3):
-        assert xs_oracle(rotated, n) == pytest.approx(
-            xs_oracle(base, n), rel=1e-10
-        )
+    # rotating the electron direction by pi about KHAT, (x, y, z) ->
+    # (-x, -y, z), and the azimuth by pi maps the wave A onto -A, a
+    # half-period shift: the cross section must be unchanged
+    for zeta in (0.0, 0.5, 1.0):
+        base, turned = (
+            make_scenario(pot_fig, K=k_fig, zeta=zeta, deflection_mrad=6.0,
+                          direction=d, azimuth=az)
+            for d, az in (((0.3, 0.2, 0.9), 1.1),
+                          ((-0.3, -0.2, 0.9), 1.1 + math.pi)))
+        for n in (-4, 0, 3):
+            assert xs_oracle(turned, n) == pytest.approx(
+                xs_oracle(base, n), rel=1e-10
+            )

@@ -7,6 +7,8 @@ import pytest
 from sbxs.errors import ChannelClosedError, DomainError
 from sbxs.kinematics import (
     A0BAR_MAX,
+    E1,
+    KHAT,
     PI0_MAX,
     FourVector,
     LaserField,
@@ -35,8 +37,6 @@ def test_four_vector_metric():
 
 def test_laser_triad_validation():
     with pytest.raises(DomainError):
-        LaserField(OMEGA, 0.0, 0.0, e1=(1, 0, 0), e2=(1, 0, 0), khat=(0, 0, 1))
-    with pytest.raises(DomainError):
         LaserField(OMEGA, 1.5, 1000.0)
     with pytest.raises(DomainError):
         LaserField(-1.0, 0.0, 0.0)
@@ -52,7 +52,7 @@ def test_dress_quasimomentum_construction():
     las = laser(K=0.17, zeta=0.6)
     ds = dress(2700.0, (0.3, -0.2, 0.9), las)
     shift = ds.Z * (1.0 + las.zeta**2)
-    expected = ds.p.vec3 + OMEGA * shift * las.khat
+    expected = ds.p.vec3 + OMEGA * shift * KHAT
     assert np.allclose(ds.Pi.vec3, expected, rtol=0, atol=1e-9)
     assert ds.Pi.t == pytest.approx(ds.p.t + OMEGA * shift, rel=1e-14)
     # Z = (e Abar0)^2 / (4 k.p)
@@ -115,8 +115,7 @@ def test_free_limit_continuity():
     ds = dress(2700.0, (0, 0, 1), laser(K=1e-8))
     assert abs(ds.Pi.t - ds0.Pi.t) < 1e-9
     assert abs(ds.Z) < 1e-9
-    ch = open_channel(ds, 1, deflection_frame(ds, 1e-3, 0.0, laser(K=1e-8)),
-                      laser(K=1e-8))
+    ch = open_channel(ds, 1, deflection_frame(ds, 1e-3, 0.0), laser(K=1e-8))
     assert ch.alpha1 < 1e-6
     assert abs(ch.alpha2) < 1e-12
 
@@ -140,7 +139,7 @@ def test_unit_is_the_plain_quotient_at_any_scale(v):
 
 
 def test_dress_along_k_needs_representable_kdotp():
-    # along khat E - p rounds to 0 or below (1e15, 1e16, 1e20 eV); p
+    # along KHAT E - p rounds to 0 or below (1e15, 1e16, 1e20 eV); p
     # overflows at 1e300 eV
     for ek, direction in ((1e15, (0, 0, 1)), (1e16, (0, 0, 1)),
                           (1e20, (0, 0, 1)), (1e300, (1, 0, 0))):
@@ -192,7 +191,7 @@ def test_alpha_theta_quadrants():
 def test_frame_zero_deflection():
     las = laser()
     ds = dress(2700.0, (0.2, 0.3, 0.9), las)
-    r = deflection_frame(ds, 0.0, 1.234, las)
+    r = deflection_frame(ds, 0.0, 1.234)
     pihat = ds.Pi.vec3 / np.linalg.norm(ds.Pi.vec3)
     assert np.allclose(r, pihat, atol=1e-15)
 
@@ -201,8 +200,8 @@ def test_frame_along_k():
     las = laser()
     ds = dress(2700.0, (0, 0, 1), las)
     theta = 0.6e-3
-    r = deflection_frame(ds, theta, 0.0, las)
-    expected = math.cos(theta) * np.array(las.khat) + math.sin(theta) * np.array(las.e1)
+    r = deflection_frame(ds, theta, 0.0)
+    expected = math.cos(theta) * KHAT + math.sin(theta) * E1
     assert np.allclose(r, expected, atol=1e-15)
 
 
@@ -212,7 +211,7 @@ def test_frame_unit_norm_random():
     for _ in range(20):
         ds = dress(float(rng.uniform(10, 1e5)), rng.normal(size=3), las)
         r = deflection_frame(ds, float(rng.uniform(0, math.pi)),
-                             float(rng.uniform(0, 2 * math.pi)), las)
+                             float(rng.uniform(0, 2 * math.pi)))
         assert abs(np.linalg.norm(r) - 1.0) < 1e-14
 
 
@@ -222,7 +221,7 @@ def test_frame_fallback_axis_parallel_e1():
     # force the degenerate branch with an axis exactly along e1
     K0 = LaserField.from_K(OMEGA, 0.0, 1.0)
     ds0 = dress(2700.0, (1, 0, 0), K0)
-    r = deflection_frame(ds0, 0.5, 0.0, K0)
+    r = deflection_frame(ds0, 0.5, 0.0)
     # azimuth reference falls back to e2
     expected = math.cos(0.5) * np.array([1.0, 0, 0]) + math.sin(0.5) * np.array(
         [0, 1.0, 0]
@@ -237,7 +236,7 @@ def test_frame_fallback_axis_parallel_e1():
 def test_channel_elastic_direction():
     las = laser()
     ds = dress(2700.0, (0, 0, 1), las)
-    r = deflection_frame(ds, 0.6e-3, 0.0, las)
+    r = deflection_frame(ds, 0.6e-3, 0.0)
     ch = open_channel(ds, 0, r, las)
     assert ch.Pi0_final == ds.Pi.t
     assert ch.Pi_n == pytest.approx(np.linalg.norm(ds.Pi.vec3), rel=1e-14)
@@ -246,23 +245,23 @@ def test_channel_elastic_direction():
 def test_channel_energy_conservation_exact():
     las = laser()
     ds = dress(2700.0, (0, 0, 1), las)
-    r = deflection_frame(ds, 0.6e-3, 0.0, las)
+    r = deflection_frame(ds, 0.6e-3, 0.0)
     for n in (-50, -3, 7, 50):
         ch = open_channel(ds, n, r, las)
         assert ch.Pi0_final == ds.Pi.t + n * OMEGA
-        assert abs(np.linalg.norm(ch.q_n + ds.Pi.vec3 + n * OMEGA * np.array(las.khat))
+        assert abs(np.linalg.norm(ch.q_n + ds.Pi.vec3 + n * OMEGA * KHAT)
                    - ch.Pi_n) < 1e-9
 
 
 def test_channel_invariants_fig1a_n50():
     las = laser(K=0.17, zeta=1.0)
     ds = dress(2700.0, (0, 0, 1), las)
-    r = deflection_frame(ds, 0.6e-3, 0.0, las)
+    r = deflection_frame(ds, 0.6e-3, 0.0)
     ch = open_channel(ds, 50, r, las)
     # final state sits on the same effective-mass shell
     shift = ch.Z_final * (1.0 + las.zeta**2)
     pi_f = FourVector.from_parts(
-        ch.p_final.t + OMEGA * shift, ch.p_final.vec3 + OMEGA * shift * las.khat
+        ch.p_final.t + OMEGA * shift, ch.p_final.vec3 + OMEGA * shift * KHAT
     )
     assert pi_f.mass2 == pytest.approx(ds.Pi.mass2, rel=1e-12)
     assert ch.p_final.mass2 == pytest.approx(M**2, rel=1e-10)
@@ -281,7 +280,7 @@ def test_channel_invariants_fig1a_n50():
 def test_alpha2_vanishes_circular():
     las = laser(K=0.3, zeta=1.0)
     ds = dress(2700.0, (0.2, 0.1, 1.0), las)
-    r = deflection_frame(ds, 5e-3, 0.7, las)
+    r = deflection_frame(ds, 5e-3, 0.7)
     for n in (-20, -1, 0, 3, 40):
         assert open_channel(ds, n, r, las).alpha2 == 0.0
 
@@ -299,7 +298,7 @@ def test_alpha_argument_equivalence():
 def test_closed_channel_error_carries_n():
     las = laser()
     ds = dress(2700.0, (0, 0, 1), las)
-    r = deflection_frame(ds, 0.6e-3, 0.0, las)
+    r = deflection_frame(ds, 0.6e-3, 0.0)
     n_closed = -int(ds.Pi.t / OMEGA)  # way below threshold
     with pytest.raises(ChannelClosedError) as err:
         open_channel(ds, n_closed, r, las)
@@ -311,7 +310,7 @@ def test_forward_momentum_transfer_scales_linearly():
     ds = dress(2700.0, (0, 0, 1), las)
     qs = []
     for theta in (1e-4, 5e-5):
-        r = deflection_frame(ds, theta, 0.0, las)
+        r = deflection_frame(ds, theta, 0.0)
         ch = open_channel(ds, 0, r, las)
         qs.append(np.linalg.norm(ch.q_n))
     assert qs[0] / qs[1] == pytest.approx(2.0, rel=1e-6)

@@ -11,7 +11,6 @@ from sbxs.errors import ChannelClosedError, DomainError, LinearPathUnstableError
 from sbxs.scan import envelope
 from sbxs.units import ELECTRON_MASS_EV, FINE_STRUCTURE
 from sbxs.xsection import (
-    Scenario,
     d_functions,
     elastic_born,
     partial_xs_circular,
@@ -246,19 +245,16 @@ def test_circular_azimuthal_symmetry(pot_fig, k_fig):
 
 
 def test_mirror_symmetry_linear(pot_fig, k_fig):
-    # reversing e1 flips the sign of u; cross sections are invariant
-    from sbxs.kinematics import LaserField
-
-    las = LaserField.from_K(1.17, k_fig, 0.0)
-    las_m = LaserField.from_K(1.17, k_fig, 0.0, e1=(-1, 0, 0), e2=(0, -1, 0))
+    # for an electron along KHAT, azimuth pi mirrors azimuth 0 through the
+    # wave axis: theta1 goes from 0 to pi, u flips sign, and the cross
+    # sections are invariant
     for n in (-3, 0, 2, 5):
-        a = partial_xs_linear(
-            Scenario(laser=las, kinetic_energy=2700.0, direction=(0, 0, 1),
-                     potential=pot_fig, deflection=6e-3, azimuth=0.0), n).value
-        b = partial_xs_linear(
-            Scenario(laser=las_m, kinetic_energy=2700.0, direction=(0, 0, 1),
-                     potential=pot_fig, deflection=6e-3, azimuth=math.pi), n).value
-        assert b == pytest.approx(a, rel=1e-10)
+        a, b = (partial_xs_linear(
+            make_scenario(pot_fig, K=k_fig, zeta=0.0, deflection_mrad=6.0,
+                          azimuth=az), n)
+            for az in (0.0, math.pi))
+        assert (a.alpha1, b.alpha1) == pytest.approx((b.alpha1, a.alpha1))
+        assert b.value == pytest.approx(a.value, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
