@@ -141,13 +141,15 @@ def dress(kinetic_energy, direction, laser):
     """Dressed state of an electron with the given kinetic energy [eV].
 
     direction is the free-momentum direction (any finite nonzero 3-vector).
-    k.p must come out finite and > 0, else a DomainError: along KHAT,
-    E - p rounds to 0 or below at some energies from about 1e15 eV, and p
-    overflows above about 1e154 eV.  The quasienergy Pi0 must come out at
-    most PI0_MAX = 1e150 eV, else a DomainError: Z = a0bar^2 / (4 k.p)
-    grows with the intensity and as omega falls.  mstar is taken from the
-    mass shell, sqrt(m^2 + a0bar^2 (1 + zeta^2) / 2), not from Pi.Pi, whose
-    two terms cancel to every digit once a0bar >> m.
+    |p| must come out finite, else a DomainError raised before p is formed:
+    the kinetic energy must stay below about 1.3e154 eV, where |p|^2
+    overflows.  k.p must come out finite and > 0, else a DomainError: along
+    KHAT, E - p rounds to 0 or below at some energies from about 1e15 eV.
+    The quasienergy Pi0 must come out at most PI0_MAX = 1e150 eV, else a
+    DomainError: Z = a0bar^2 / (4 k.p) grows with the intensity and as
+    omega falls.  mstar is taken from the mass shell,
+    sqrt(m^2 + a0bar^2 (1 + zeta^2) / 2), not from Pi.Pi, whose two terms
+    cancel to every digit once a0bar >> m.
     """
     if not (math.isfinite(kinetic_energy) and kinetic_energy >= 0.0):
         raise DomainError(f"kinetic energy must be >= 0, got {kinetic_energy}")
@@ -155,6 +157,9 @@ def dress(kinetic_energy, direction, laser):
     m = ELECTRON_MASS_EV
     energy = m + kinetic_energy
     p_mag = math.sqrt(kinetic_energy * (2.0 * m + kinetic_energy))
+    if not math.isfinite(p_mag):
+        raise DomainError("|p| overflows: kinetic energy must be below about "
+                          f"1.3e154 eV, got {kinetic_energy} eV")
     p = FourVector.from_parts(energy, p_mag * d)
     kdotp = laser.k4.dot(p)
     if not (math.isfinite(kdotp) and kdotp > 0.0):
@@ -179,8 +184,8 @@ def dress(kinetic_energy, direction, laser):
 def alpha_theta(rho, laser):
     """Dynamic amplitude alpha(rho) and phase theta(rho) of the dressing.
 
-    alpha = e*Abar0 * sqrt((rho.e1)^2 + zeta^2 (rho.e2)^2); theta is the
-    quadrant-resolved angle of (rho.e1, zeta*rho.e2), fixed to 0 when alpha
+    alpha = e*Abar0 * sqrt((rho.E1)^2 + zeta^2 (rho.E2)^2); theta is the
+    quadrant-resolved angle of (rho.E1, zeta*rho.E2), fixed to 0 when alpha
     vanishes (every theta-dependent term then carries a factor alpha).
     """
     r = _vec(rho)

@@ -6,8 +6,8 @@ Bessel combinations
     D_n      = J_n(a1, -a2, t1)
     D_{1,n}  = [J_{n-1} e^{-i(t1-tp)} + J_{n+1} e^{+i(t1-tp)}] / 2
     D_{2,n}  = (1+zeta^2) D_n + (1-zeta^2)/2 [J_{n-2} e^{-2i t1} + J_{n+2} e^{+2i t1}]
-    Dvec     = eAbar0 { (e1+i zeta e2)/2 J_{n-1} e^{-i t1}
-                      + (e1-i zeta e2)/2 J_{n+1} e^{+i t1} }
+    Dvec     = eAbar0 { (E1+i zeta E2)/2 J_{n-1} e^{-i t1}
+                      + (E1-i zeta E2)/2 J_{n+1} e^{+i t1} }
 
 and evaluates, in natural units,
 
@@ -305,7 +305,12 @@ def elastic_born(scenario):
 
     |U~(q0)|^2/(4 pi)^2 * (4 eps^2 - q0^2) with q0 the elastic momentum
     transfer at the scenario deflection; equals the field-free n = 0 limit.
+    The kinetic energy must be > 0 (else a DomainError): a field-free
+    electron at rest has no direction to deflect from.
     """
+    if not scenario.kinetic_energy > 0.0:
+        raise DomainError("elastic limit needs kinetic energy > 0 (an electron "
+                          f"at rest has no direction), got {scenario.kinetic_energy} eV")
     field_free = scenario.with_K(0.0)
     dressed = field_free.dressed()
     pvec = dressed.p.vec3

@@ -234,7 +234,8 @@ def _on(command, mutate, *flags, names=None):
         # finite, but past the range the solver represents
         lambda c: c["laser"].update(photon_energy_eV=1e300),
         lambda c: c["potential"].update(screening_radius_au=1e-300),
-        lambda c: c["electron"].update(kinetic_energy_eV=1e300),
+        _on("total", lambda c: c["electron"].update(kinetic_energy_eV=1e300),
+            names="electron: kinetic_energy_eV"),
         # a0bar in range, but the quasienergy Pi0 = E + omega Z (1 + zeta^2)
         # past dress's PI0_MAX
         *(_on("total", lambda c, i=i: c["laser"].update(intensity_W_cm2=i),
@@ -386,6 +387,16 @@ def test_total_and_elastic(capsys, cfg_path):
     code, out1, _ = _run(capsys, ["elastic", "--config", cfg_path])
     # elastic reference is field-free: K override must not matter
     assert out0 == out1
+
+
+def test_elastic_at_rest_names_the_rest_limit(tmp_path, capsys):
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg["electron"]["kinetic_energy_eV"] = 0
+    path = tmp_path / "rest.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, ["elastic", "--config", str(path)])
+    assert (code, out) == (3, "")
+    assert "kinetic energy" in err
 
 
 def test_tabulated_potential_matches_closed_form(tmp_path, capsys):
