@@ -14,11 +14,10 @@ from .errors import ChannelClosedError, ConvergenceError, DomainError
 from .kinematics import LaserField, _unit
 from .potential import PotentialFT
 from .xsection import (
-    PartialXS,
     Scenario,
-    _nonrel_eval,
     partial_xs_general,
     partial_xs_general_batch,
+    partial_xs_nonrel,
 )
 
 TAIL_CUT_DEFAULT = 1.0e-8
@@ -32,13 +31,11 @@ BLOCK_EXTEND = 24
 
 
 def partial(scenario, n):
-    """Single channel under the scenario's formula: the general formula, or
-    the nonrel reference wrapped in a PartialXS with the whole value booked
-    as the main term."""
-    if scenario.formula == "general":
-        return partial_xs_general(scenario, n)
-    value, a1, q2 = _nonrel_eval(scenario, n)
-    return PartialXS.from_terms(n, a1, q2, value)
+    """Single channel under the scenario's formula: the one-channel block."""
+    entries, closed = _block(scenario, [n])
+    if closed is not None:
+        raise closed
+    return entries[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,18 +58,19 @@ def _tail_done(px, vmax, tail_cut):
 
 def _block(scenario, ns):
     """Open channels of ns, in order, closed ones skipped.  Returns
-    (entries, whether a channel was closed).
+    (entries, the first ChannelClosedError met or None).
 
     The general formula builds the Bessel rows of the whole block at once;
-    the nonrel reference evaluates each channel through partial.
+    the nonrel reference evaluates one channel at a time.
     """
     general = scenario.formula == "general"
-    opened, closed = [], False
+    opened, closed = [], None
     for n in ns:
         try:
-            opened.append(scenario.channel(n) if general else partial(scenario, n))
-        except ChannelClosedError:
-            closed = True
+            opened.append(scenario.channel(n) if general
+                          else partial_xs_nonrel(scenario, n))
+        except ChannelClosedError as exc:
+            closed = closed or exc
     if general:
         opened = partial_xs_general_batch(scenario, opened)
     return opened, closed
@@ -87,7 +85,7 @@ def _outward(scenario, step, reach):
     while True:
         entries, closed = _block(scenario, range(n, n + step * size, step))
         yield from entries
-        if closed:
+        if closed is not None:
             return
         n += step * size
         size = BLOCK_EXTEND
@@ -112,31 +110,28 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
             raise ChannelClosedError(n_min, "no open channels in range")
         return _finish_envelope(entries)
 
-    values = {0: partial(scenario, 0)}
+    center = partial(scenario, 0)
     if scenario.laser.a0bar == 0.0:
-        return _finish_envelope([values[0]])
+        return _finish_envelope([center])
 
-    reach = int(_margin(values[0].alpha1)) + 1
-    vmax = values[0].value
-    for step in (1, -1):
+    reach = int(_margin(center.alpha1)) + 1
+    vmax = center.value
+    sides = ([], [])
+    for step, side in zip((1, -1), sides):
         for px in _outward(scenario, step, reach):
-            values[px.n] = px
+            side.append(px)
             vmax = max(vmax, px.value)
             if _tail_done(px, vmax, tail_cut):
                 break
 
-    # Canonical trim against the final global peak: keep each side up to the
-    # first channel (scanning outward) satisfying the stop rule.
-    vmax = max(px.value for px in values.values())
-    kept = [values[0]]
-    for step in (1, -1):
-        n = 0
-        while True:
-            n += step
-            if n not in values:
-                break
-            kept.append(values[n])
-            if _tail_done(values[n], vmax, tail_cut):
+    # Canonical trim against the final global peak, the peak of every channel
+    # evaluated: keep each side up to the first channel (scanning outward)
+    # satisfying the stop rule.
+    kept = [center]
+    for side in sides:
+        for px in side:
+            kept.append(px)
+            if _tail_done(px, vmax, tail_cut):
                 break
     return _finish_envelope(kept)
 
@@ -188,7 +183,7 @@ def k_sweep(scenario, k_grid, tail_cut=TAIL_CUT_DEFAULT):
         try:
             total = total_xs(scenario.with_K(K), tail_cut=tail_cut)
             points.append(KPoint(K=K, total=total))
-        except (ChannelClosedError, ConvergenceError, DomainError) as exc:
+        except (ConvergenceError, DomainError) as exc:
             points.append(KPoint(K=K, total=math.nan,
                                  error=f"{type(exc).__name__}: {exc}"))
     return points

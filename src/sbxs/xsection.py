@@ -321,8 +321,17 @@ def elastic_born(scenario):
     return xs_to_atomic_units(ut**2 / FOUR_PI_SQ * (4.0 * eps**2 - q2))
 
 
-def _nonrel_eval(scenario, n):
-    """Dipole-limit value with its Bessel argument and momentum transfer."""
+def partial_xs_nonrel(scenario, n):
+    """Dipole-limit reference (Bunkin-Fedorov form) [bohr^2/sr].
+
+    Nonrelativistic momenta |p| = sqrt(2 m ek), final kinetic energy
+    ek + n*omega, q = p' - p, and the single Bessel argument
+    a1 = eAbar0 sqrt((q.E1)^2 + zeta^2 (q.E2)^2)/(m omega):
+
+        dsigma^(n)/dOmega = (|p'|/|p|) J_n(a1)^2 (2 m U~(q)/(4 pi))^2,
+
+    booked whole as the main term of the PartialXS.
+    """
     laser = scenario.laser
     m = ELECTRON_MASS_EV
     ek = scenario.kinetic_energy
@@ -340,16 +349,5 @@ def _nonrel_eval(scenario, n):
     value_nat = (pf_mag / p_mag) * bessel_j(n, a1) ** 2 * (
         2.0 * m * ut / (4.0 * math.pi)
     ) ** 2
-    return xs_to_atomic_units(value_nat), a1, float(np.dot(q, q))
-
-
-def partial_xs_nonrel(scenario, n):
-    """Dipole-limit reference (Bunkin-Fedorov form) [bohr^2/sr].
-
-    Nonrelativistic momenta |p| = sqrt(2 m ek), final kinetic energy
-    ek + n*omega, q = p' - p, and the single Bessel argument
-    a1 = eAbar0 sqrt((q.E1)^2 + zeta^2 (q.E2)^2)/(m omega):
-
-        dsigma^(n)/dOmega = (|p'|/|p|) J_n(a1)^2 (2 m U~(q)/(4 pi))^2.
-    """
-    return _nonrel_eval(scenario, n)[0]
+    return PartialXS.from_terms(n, a1, float(np.dot(q, q)),
+                                xs_to_atomic_units(value_nat))

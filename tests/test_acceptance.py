@@ -340,7 +340,7 @@ def test_criterion_9_nonrel_consistency(pot_fig):
     worst = 0.0
     for n in range(-n_peak, n_peak + 1):
         rel_val = partial_xs_general(s, n).value
-        ref = partial_xs_nonrel(s, n)
+        ref = partial_xs_nonrel(s, n).value
         worst = max(worst, abs(rel_val - ref) / ref)
     ok = worst < 0.02
     assert report(9, ok,

@@ -112,7 +112,7 @@ def test_partial_formula_dispatch(pot_fig, k_fig):
     s = make_scenario(pot_fig, K=k_fig, zeta=1.0)
     assert partial(s, -4) == partial_xs_general(s, -4)
     s = make_scenario(pot_fig, K=k_fig, zeta=1.0, formula="nonrel")
-    assert partial(s, -4).value == partial_xs_nonrel(s, -4)
+    assert partial(s, -4) == partial_xs_nonrel(s, -4)
     # the closed forms and the spinor oracle are cross-checks only
     for formula in ("circular", "linear", "oracle"):
         with pytest.raises(DomainError, match=formula):
@@ -219,23 +219,28 @@ def _fields(px):
     return (px.n, px.value, px.terms, px.alpha1, px.q2)
 
 
+ZETA_HALF = dict(K=0.17, zeta=0.5, deflection_mrad=6.0,
+                 direction=(0.3, -0.2, 1.0))
+GENERAL_CLOSING = dict(K=0.05, zeta=1.0, deflection_mrad=200.0,
+                       ek=27.0)  # -n closes
+NONREL_CLOSING = dict(K=0.01, zeta=1.0, deflection_mrad=200.0, ek=27.0,
+                      formula="nonrel")  # ek + n w closes at n = -24
+
+
 @pytest.mark.parametrize(
-    "kw",
-    [
-        dict(K=0.17, zeta=0.5, deflection_mrad=6.0, direction=(0.3, -0.2, 1.0)),
-        dict(K=0.05, zeta=1.0, deflection_mrad=200.0, ek=27.0),  # -n closes
-        dict(K=0.0, zeta=1.0),
-    ],
-)
+    "kw", [ZETA_HALF, GENERAL_CLOSING, dict(K=0.0, zeta=1.0), NONREL_CLOSING])
 def test_block_envelope_equals_single_channels(pot_fig, kw):
     s = make_scenario(pot_fig, **kw)
+    single = partial_xs_nonrel if s.formula == "nonrel" else partial_xs_general
     env = envelope(s)
     ns = [px.n for px in env.entries]
     assert [_fields(px) for px in env.entries] == \
-        [_fields(partial_xs_general(s, n)) for n in ns]
+        [_fields(single(s, n)) for n in ns]
     if kw.get("ek") == 27.0:
         with pytest.raises(ChannelClosedError):
-            s.channel(ns[0] - 1)
+            single(s, ns[0] - 1)
+    if kw is NONREL_CLOSING:
+        assert ns[0] == -23
     if kw["K"] == 0.0:
         assert ns == [0]
     # an explicit range is one block; it skips the closed channels
@@ -243,11 +248,26 @@ def test_block_envelope_equals_single_channels(pot_fig, kw):
     singles = []
     for n in range(lo, hi + 1):
         try:
-            singles.append(_fields(partial_xs_general(s, n)))
+            singles.append(_fields(single(s, n)))
         except ChannelClosedError:
             continue
     ranged = envelope(s, n_range=(lo, hi))
     assert [_fields(px) for px in ranged.entries] == singles
+
+
+@pytest.mark.parametrize("kw", [None, ZETA_HALF, GENERAL_CLOSING,
+                                NONREL_CLOSING])
+def test_envelope_independent_of_block_size(pot_fig, fig1a, kw, monkeypatch):
+    # the auto range is canonical: regrouping its channels into blocks of
+    # any size moves no entry, no total and no peak
+    s = fig1a if kw is None else make_scenario(pot_fig, **kw)
+    seen = []
+    for size in (1, 7, 24, 500):
+        monkeypatch.setattr(scan, "BLOCK_EXTEND", size)
+        env = envelope(s)
+        seen.append(([_fields(px) for px in env.entries], env.total,
+                     env.n_peak, env.alpha1_at_peak))
+    assert all(got == seen[0] for got in seen[1:])
 
 
 def test_fig1a_envelope_sweeps_in_blocks(fig1a, sweeps):
