@@ -40,6 +40,9 @@ from .xsection import Scenario, elastic_born
 
 ENVELOPE_COLUMNS = "n,dsigma_au,alpha1,q2_au,term_main,term_recoil,term_wave"
 KSWEEP_COLUMNS = "K,total_au"
+# verify passes below this closed-form vs oracle deviation: acceptance
+# criterion 3's bound.
+VERIFY_TOL = 1.0e-8
 # The only sections and keys a config may hold, each with its value's type.
 SCHEMA = {
     "laser": {"photon_energy_eV": float, "wavelength_nm": float,
@@ -312,10 +315,10 @@ def cmd_verify(args):
         f"verify: {len(records)} randomized open channels, seed {args.seed}\n"
         f"max relative deviation closed-form vs spinor oracle: {max_dev!r}\n"
     )
-    if max_dev < args.tol:
-        sys.stdout.write(f"PASS (tolerance {args.tol!r})\n")
+    if max_dev < VERIFY_TOL:
+        sys.stdout.write(f"PASS (tolerance {VERIFY_TOL!r})\n")
         return 0
-    sys.stdout.write(f"FAIL (tolerance {args.tol!r})\n")
+    sys.stdout.write(f"FAIL (tolerance {VERIFY_TOL!r})\n")
     return 5
 
 
@@ -541,7 +544,6 @@ def build_parser():
     p = sub.add_parser("verify", help="closed form vs spinor oracle sweep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=60)
-    p.add_argument("--tol", type=float, default=1.0e-8)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("plot", help="render a CSV artifact to SVG")

@@ -569,9 +569,9 @@ def test_verify_without_samples_exit_2(capsys, samples):
     assert "config error" in err and "PASS" not in out
 
 
-def test_verify_fail_exit_5(capsys):
-    code, out, _ = _run(capsys, ["verify", "--seed", "42", "--samples", "15",
-                                 "--tol", "1e-30"])
+def test_verify_fail_exit_5(capsys, monkeypatch):
+    monkeypatch.setattr("sbxs.cli.VERIFY_TOL", 1e-30)
+    code, out, _ = _run(capsys, ["verify", "--seed", "42", "--samples", "15"])
     assert code == 5
     assert "FAIL" in out
 
