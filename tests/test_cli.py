@@ -82,7 +82,7 @@ def _embedded_config(path):
 def test_golden_configs_resolve_to_themselves():
     paths = [p for p in sorted((HERE / "golden").iterdir())
              if p.suffix in (".csv", ".json")]
-    assert len(paths) == 10
+    assert len(paths) == 11
     for path in paths:
         config = _embedded_config(path)
         resolved, _, _ = resolve_config(config)

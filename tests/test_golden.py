@@ -46,6 +46,11 @@ CONFIGS = {
                            electron={"kinetic_energy_eV": 27.0},
                            geometry={"deflection_mrad": 200.0},
                            run={"formula": "nonrel"}),
+    # zeta not a power of two and a direction off every axis, so the zeta
+    # products and the frame projections round
+    "oblique": _config(laser={"photon_energy_eV": 1.17, "K": 0.17, "zeta": 0.3},
+                       electron={"direction": [0.3, -0.2, 0.9]},
+                       geometry={"deflection_mrad": 6.0, "azimuth_deg": 40.0}),
 }
 
 # case (the golden file name) -> argv; {name} is the path of CONFIGS[name],
@@ -65,6 +70,7 @@ CASES = {
     "envelope-nonrel.csv": ["envelope", "--config", "{nonrel}"],
     "envelope-slow.csv": ["envelope", "--config", "{slow}"],
     "envelope-slow-nonrel.csv": ["envelope", "--config", "{slow-nonrel}"],
+    "envelope-oblique.csv": ["envelope", "--config", "{oblique}"],
     "verify.txt": ["verify", "--seed", "42", "--samples", "60"],
     "gbessel.txt": ["gbessel", "--n", "7", "--u", "12.5", "--v", "3.2",
                     "--delta", "0.9"],
