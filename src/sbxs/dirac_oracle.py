@@ -159,6 +159,6 @@ def xs_oracle(scenario, n):
             f"spin sum {half_sum} vs trace {trace.real} at n={n}"
         )
 
-    ut = u_tilde(scenario.potential, channel.q_n)
+    ut = u_tilde(scenario.potential, channel.q2)
     value_nat = channel.Pi_n * ut**2 / (FOUR_PI_SQ * dressed.pivec_mag) * trace.real
     return xs_to_atomic_units(value_nat)

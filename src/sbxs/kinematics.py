@@ -161,15 +161,13 @@ def dress(kinetic_energy, direction, laser):
         raise DomainError("|p| overflows: kinetic energy must be below about "
                           f"1.3e154 eV, got {kinetic_energy} eV")
     p = FourVector.from_parts(energy, p_mag * d)
-    kdotp = laser.k4.dot(p)
+    kdotp = laser.omega * p.t - laser.omega * p.z  # k = omega*(1, KHAT)
     if not (math.isfinite(kdotp) and kdotp > 0.0):
         raise DomainError(f"k.p must be finite and > 0, got {kdotp} eV^2 "
                           f"at kinetic energy {kinetic_energy} eV")
     Z = laser.a0bar**2 / (4.0 * kdotp)
-    shift = Z * (1.0 + laser.zeta**2)
-    Pi = FourVector.from_parts(
-        p.t + laser.omega * shift, p.vec3 + laser.omega * shift * KHAT
-    )
+    shift = laser.omega * (Z * (1.0 + laser.zeta**2))
+    Pi = FourVector(p.t + shift, p.x, p.y, p.z + shift)
     if not Pi.t <= PI0_MAX:
         raise DomainError(f"quasienergy Pi0 must be <= {PI0_MAX:g} eV, got "
                           f"{Pi.t} eV (Z = a0bar^2 / (4 k.p) = {Z})")
@@ -187,10 +185,11 @@ def alpha_theta(rho, laser):
     alpha = e*Abar0 * sqrt((rho.E1)^2 + zeta^2 (rho.E2)^2); theta is the
     quadrant-resolved angle of (rho.E1, zeta*rho.E2), fixed to 0 when alpha
     vanishes (every theta-dependent term then carries a factor alpha).
+    rho.E1 = rho[0], rho.E2 = rho[1] + 0.0: a -0.0 there becomes +0.0, so
+    theta is pi, not -pi, on the negative rho.E1 axis.
     """
-    r = _vec(rho)
-    c1 = float(np.dot(r, E1))
-    c2 = laser.zeta * float(np.dot(r, E2))
+    c1 = float(rho[0])
+    c2 = laser.zeta * (float(rho[1]) + 0.0)
     alpha = laser.a0bar * math.hypot(c1, c2)
     if alpha == 0.0:
         return 0.0, 0.0
@@ -200,9 +199,9 @@ def alpha_theta(rho, laser):
 def _frame_rhat(axis_hat, deflection, azimuth):
     """Unit vector at `deflection` from axis_hat; azimuth 0 lies in the
     plane spanned by axis_hat and E1 (falls back to E2 when axis || E1)."""
-    t1 = E1 - float(np.dot(E1, axis_hat)) * axis_hat
+    t1 = E1 - axis_hat[0] * axis_hat
     if float(np.linalg.norm(t1)) < 1.0e-12:
-        t1 = E2 - float(np.dot(E2, axis_hat)) * axis_hat
+        t1 = E2 - axis_hat[1] * axis_hat
     t1 = _unit(t1, "azimuth reference")
     t2 = np.cross(axis_hat, t1)
     r = (
@@ -260,13 +259,13 @@ def open_channel(dressed, n, rhat, laser):
     Pi_n = math.sqrt(max(pin2, 0.0))
 
     pivec_f = Pi_n * r
-    q = pivec_f - pivec - n * omega * KHAT
-    kdotpi_f = omega * (Pi0f - float(np.dot(KHAT, pivec_f)))
+    q = pivec_f - pivec
+    q[2] -= n * omega
+    kdotpi_f = omega * (Pi0f - float(pivec_f[2]))
     Zf = laser.a0bar**2 / (4.0 * kdotpi_f)
-    shift = Zf * (1.0 + zeta**2)
-    p_final = FourVector.from_parts(
-        Pi0f - omega * shift, pivec_f - omega * shift * KHAT
-    )
+    shift = omega * (Zf * (1.0 + zeta**2))
+    p_final = FourVector(Pi0f - shift, float(pivec_f[0]), float(pivec_f[1]),
+                         float(pivec_f[2]) - shift)
 
     kdotpi = dressed.kdotp  # k.Pi = k.p exactly (k^2 = 0)
     rho = pivec_f / kdotpi_f - pivec / kdotpi
@@ -274,7 +273,7 @@ def open_channel(dressed, n, rhat, laser):
     alpha2 = 0.5 * (Zf - dressed.Z) * (1.0 - zeta**2)
 
     q2 = float(np.dot(q, q))
-    q_perp2 = max(q2 - float(np.dot(KHAT, q)) ** 2, 0.0)
+    q_perp2 = max(q2 - float(q[2]) ** 2, 0.0)
     beta2 = laser.a0bar**2 * omega**2 * q_perp2 / (kdotpi * kdotpi_f)
 
     return Channel(

@@ -98,12 +98,12 @@ class PotentialFT:
         )
 
 
-def u_tilde(pot, q):
-    """U~ at the 3-vector momentum transfer q [eV]; result in eV^-2."""
-    qv = np.asarray(q, dtype=float)
-    q2 = float(np.dot(qv, qv))
-    if not math.isfinite(q2):
-        raise DomainError("momentum transfer must be finite")
+def u_tilde(pot, q2):
+    """U~ at the squared momentum transfer q2 = q.q [eV^2], finite and >= 0
+    (else a DomainError); result in eV^-2.  The potential is radial, so U~
+    depends on q2 alone."""
+    if not (math.isfinite(q2) and q2 >= 0.0):
+        raise DomainError(f"q^2 must be finite and >= 0, got {q2} eV^2")
     if pot.kind == SCREENED_COULOMB:
         denom = q2 + pot.chi**2
         if denom == 0.0:

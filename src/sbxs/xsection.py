@@ -171,7 +171,7 @@ def d_functions(channel, laser, dressed, row=None):
 
 def _prefactor_au(scenario, dressed, channel):
     """|Pivec'| |U~(q_n)|^2 / ((4 pi)^2 |Pivec|), converted to bohr^2/sr."""
-    ut = u_tilde(scenario.potential, channel.q_n)
+    ut = u_tilde(scenario.potential, channel.q2)
     pref_nat = channel.Pi_n * ut**2 / (FOUR_PI_SQ * dressed.pivec_mag)
     return xs_to_atomic_units(pref_nat)
 
@@ -266,11 +266,8 @@ def partial_xs_linear(scenario, n):
 
     omega = laser.omega
     q2 = channel.q2
-    rho = (
-        channel.p_final.vec3 / channel.kdotp_final
-        - dressed.p.vec3 / dressed.kdotp
-    )
-    u = laser.a0bar * float(np.dot(rho, E1))
+    u = laser.a0bar * (channel.p_final.x / channel.kdotp_final
+                       - dressed.p.x / dressed.kdotp)
     v = 0.5 * (dressed.Z - channel.Z_final)
     if abs(v) <= V_FLOOR * max(1.0, abs(u)):
         raise LinearPathUnstableError(
@@ -281,7 +278,7 @@ def partial_xs_linear(scenario, n):
     jn = row[n].real
     i_n = 0.5 * (row[n - 1].real + row[n + 1].real)
 
-    alpha_signed = laser.a0bar * float(np.dot(dressed.Pi.vec3, E1)) / dressed.kdotp
+    alpha_signed = laser.a0bar * dressed.Pi.x / dressed.kdotp
     eps36 = 2.0 * dressed.Pi.t + n * omega * dressed.Z / v
     alpha_pr = alpha_signed + u * dressed.Z / (2.0 * v)
     beta2 = channel.beta2
@@ -316,7 +313,7 @@ def elastic_born(scenario):
     pvec = dressed.p.vec3
     q = float(np.linalg.norm(pvec)) * field_free._rhat - pvec
     q2 = float(np.dot(q, q))
-    ut = u_tilde(scenario.potential, q)
+    ut = u_tilde(scenario.potential, q2)
     eps = dressed.p.t
     return xs_to_atomic_units(ut**2 / FOUR_PI_SQ * (4.0 * eps**2 - q2))
 
@@ -343,11 +340,11 @@ def partial_xs_nonrel(scenario, n):
     pf_mag = math.sqrt(2.0 * m * ekf)
     rhat = _frame_rhat(phat, scenario.deflection, scenario.azimuth)
     q = pf_mag * rhat - p_mag * phat
+    q2 = float(np.dot(q, q))
     a1 = alpha_theta(q, laser)[0] / (m * laser.omega)
 
-    ut = u_tilde(scenario.potential, q)
+    ut = u_tilde(scenario.potential, q2)
     value_nat = (pf_mag / p_mag) * bessel_j(n, a1) ** 2 * (
         2.0 * m * ut / (4.0 * math.pi)
     ) ** 2
-    return PartialXS.from_terms(n, a1, float(np.dot(q, q)),
-                                xs_to_atomic_units(value_nat))
+    return PartialXS.from_terms(n, a1, q2, xs_to_atomic_units(value_nat))

@@ -177,6 +177,14 @@ def test_alpha_theta_circular_diagonal():
     assert t == pytest.approx(math.pi / 4.0, rel=1e-14)
 
 
+def test_alpha_theta_signed_zero_on_negative_e1_axis():
+    # a -0.0 projection on E2 still gives theta = pi, as +0.0 does
+    for zero in (0.0, -0.0):
+        assert alpha_theta((-1.0, zero, 0.0), laser(zeta=0.5))[1] == math.pi
+    ds = dress(2700.0, (-0.6, -0.0, 0.8), laser(zeta=0.3))
+    assert ds.theta_pi == math.pi
+
+
 def test_alpha_theta_quadrants():
     las = laser(zeta=1.0)
     _, t = alpha_theta((-1.0, 1.0, 0.0), las)
