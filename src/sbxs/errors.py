@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class DomainError(ValueError):
     """Input outside the mathematical/physical domain of an operation."""
@@ -30,3 +32,14 @@ class OracleInconsistencyError(RuntimeError):
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+def _integer(value, what):
+    """value as an int: an int, a numpy integer or an integral float; any
+    other value (NaN and +-inf included) is a DomainError naming it."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

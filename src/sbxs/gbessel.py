@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _integer
 
 _MAX_ORDER = 10**6
 _MAX_ARG = 1.0e5
@@ -201,7 +201,7 @@ def bessel_j(n, x):
 
     _jn_lookup applies the parity in n and in x; cost is O(max(|n|, |x|)).
     """
-    n = int(n)
+    n = _integer(n, "Bessel order")
     if abs(n) > _MAX_ORDER:
         raise DomainError(f"|n| <= {_MAX_ORDER} required, got {n}")
     if not math.isfinite(x):
@@ -294,7 +294,8 @@ def gbessel_rows(specs):
     """[gbessel_row(*spec) for spec in specs], spec = (n_min, n_max, u, v,
     delta), with the ordinary-Bessel rows of all specs built by one
     _jn_rows call (the J_k(|v|) row is skipped when v = 0)."""
-    specs = [(int(a), int(b), u, v, d) for a, b, u, v, d in specs]
+    specs = [(_integer(a, "n_min"), _integer(b, "n_max"), u, v, d)
+             for a, b, u, v, d in specs]
     plans = [_series_plan(*spec) for spec in specs]
     xs, nmaxs, windows = [], [], []
     for (_, _, u, v, _), (k_max, _, u_top, window) in zip(specs, plans):
@@ -334,7 +335,7 @@ def gbessel_quad(n, u, v, delta, abs_tol=1.0e-13, max_nodes=1 << 21):
     consecutive refinements move the result by less than abs_tol.  Sums are
     carried in extended precision so the oracle noise floor sits near 1e-17.
     """
-    n = int(n)
+    n = _integer(n, "Bessel order")
     if abs(u) + 2.0 * abs(v) + abs(n) > _ORACLE_SCALE:
         raise DomainError(
             f"oracle scale |u| + 2|v| + |n| <= {_ORACLE_SCALE} exceeded"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ChannelClosedError, DomainError
+from .errors import ChannelClosedError, DomainError, _integer
 from .units import ELECTRON_MASS_EV
 
 # Fixed lab frame: the wave travels along z, polarization axes along x, y.
@@ -242,9 +242,9 @@ def open_channel(dressed, n, rhat, laser):
     """Channel kinematics for n exchanged photons in direction rhat.
 
     Raises ChannelClosedError when the final quasienergy falls below the
-    effective mass.
+    effective mass; n must be an integer, else a DomainError.
     """
-    n = int(n)
+    n = _integer(n, "photon number")
     r = _vec(rhat)
     r = r / float(np.linalg.norm(r))
     omega = laser.omega

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac_oracle import xs_oracle
-from .errors import ChannelClosedError, ConvergenceError, DomainError
+from .errors import ChannelClosedError, ConvergenceError, DomainError, _integer
 from .kinematics import LaserField, _unit
 from .potential import PotentialFT
 from .xsection import (
@@ -102,7 +102,8 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
     if not 0.0 < tail_cut < 1.0:
         raise DomainError(f"tail_cut must lie in (0, 1), got {tail_cut}")
     if n_range is not None:
-        n_min, n_max = int(n_range[0]), int(n_range[1])
+        n_min = _integer(n_range[0], "n_min")
+        n_max = _integer(n_range[1], "n_max")
         if n_min > n_max:
             raise DomainError(f"n_range {n_range} has n_min > n_max")
         entries, _ = _block(scenario, range(n_min, n_max + 1))

@@ -28,7 +28,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ChannelClosedError, DomainError, LinearPathUnstableError
+from .errors import (
+    ChannelClosedError,
+    DomainError,
+    LinearPathUnstableError,
+    _integer,
+)
 from .gbessel import bessel_j, gbessel_row, gbessel_rows
 from .kinematics import (
     E1,
@@ -329,6 +334,7 @@ def partial_xs_nonrel(scenario, n):
 
     booked whole as the main term of the PartialXS.
     """
+    n = _integer(n, "photon number")
     laser = scenario.laser
     m = ELECTRON_MASS_EV
     ek = scenario.kinetic_energy

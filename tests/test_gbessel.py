@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from sbxs.errors import ConvergenceError, DomainError
-from sbxs.gbessel import bessel_j, gbessel, gbessel_quad, gbessel_row
+from sbxs.gbessel import (
+    bessel_j,
+    gbessel,
+    gbessel_quad,
+    gbessel_row,
+    gbessel_rows,
+)
 
 # Frozen from the quadrature oracle (cross-checked at 30 digits during
 # development); the oracle itself is exercised against the series below.
@@ -143,6 +149,26 @@ def test_row_index_guard():
     row = gbessel_row(-2, 2, 1.0, 0.5, 0.0)
     with pytest.raises(IndexError):
         row[3]
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf])
+def test_orders_must_be_integers(bad):
+    with pytest.raises(DomainError, match="order must be an integer"):
+        bessel_j(bad, 1.0)
+    with pytest.raises(DomainError, match="order must be an integer"):
+        gbessel_quad(bad, 1.0, 0.5, 0.0)
+    with pytest.raises(DomainError, match="n_min must be an integer"):
+        gbessel_rows([(bad, 3, 1.0, 0.5, 0.0)])
+    with pytest.raises(DomainError, match="n_max must be an integer"):
+        gbessel_rows([(-3, bad, 1.0, 0.5, 0.0)])
+
+
+def test_integral_orders_match_int():
+    for n in (2.0, np.int64(2)):
+        assert bessel_j(n, 1.0) == bessel_j(2, 1.0)
+        assert gbessel_quad(n, 1.0, 0.5, 0.3) == gbessel_quad(2, 1.0, 0.5, 0.3)
+        (row,) = gbessel_rows([(n, 3, 1.0, 0.5, 0.3)])
+        assert row.n_min == 2 and row[2] == gbessel(2, 1.0, 0.5, 0.3)
 
 
 def test_row_rejects_reversed_bounds():

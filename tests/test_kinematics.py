@@ -109,6 +109,20 @@ def test_free_limit():
     assert ds.Pi == ds.p
 
 
+def test_photon_number_must_be_an_integer():
+    las = laser()
+    ds = dress(2700.0, (0, 0, 1), las)
+    rhat = deflection_frame(ds, 1e-3, 0.0)
+    for n in (2.5, math.nan, math.inf, -math.inf, "2"):
+        with pytest.raises(DomainError, match="photon number must be an integer"):
+            open_channel(ds, n, rhat, las)
+    ref = open_channel(ds, 2, rhat, las)
+    for n in (2.0, np.int64(2), np.int32(2)):
+        ch = open_channel(ds, n, rhat, las)
+        assert type(ch.n) is int and ch.n == 2
+        assert (ch.alpha1, ch.theta1, ch.q2) == (ref.alpha1, ref.theta1, ref.q2)
+
+
 def test_free_limit_continuity():
     # K = 1e-8: dressing shifts scale as K^2
     ds0 = dress(2700.0, (0, 0, 1), laser(K=0.0))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import sbxs.scan as scan
@@ -73,6 +74,15 @@ def test_envelope_reversed_range_is_a_domain_error(fig1a):
     assert not isinstance(exc.value, ChannelClosedError)
 
 
+def test_envelope_range_bounds_must_be_integers(fig1a):
+    for n_range in ((1.7, 3.2), (0, math.nan), (-math.inf, 2)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            envelope(fig1a, n_range=n_range)
+    ref = envelope(fig1a, n_range=(1, 3))
+    env = envelope(fig1a, n_range=(1.0, np.int64(3)))
+    assert env.entries == ref.entries and env.total == ref.total
+
+
 def test_envelope_explicit_range_skips_closed(pot_fig):
     # 27 eV electron: emission channels close at n = -24
     s = make_scenario(pot_fig, K=0.01, zeta=1.0, ek=27.0)
@@ -117,6 +127,25 @@ def test_partial_formula_dispatch(pot_fig, k_fig):
     for formula in ("circular", "linear", "oracle"):
         with pytest.raises(DomainError, match=formula):
             make_scenario(pot_fig, K=k_fig, zeta=1.0, formula=formula)
+
+
+@pytest.mark.parametrize("n", [2.5, -0.5, math.nan, math.inf])
+def test_partial_rejects_non_integer_photon_numbers(pot_fig, fig1a, n):
+    nonrel = make_scenario(pot_fig, K=fig1a.laser.K, formula="nonrel")
+    for s in (fig1a, nonrel):
+        with pytest.raises(DomainError, match="photon number must be an integer"):
+            partial(s, n)
+    with pytest.raises(DomainError, match="photon number must be an integer"):
+        partial_xs_nonrel(fig1a, n)
+
+
+def test_partial_integral_photon_numbers_match_int(pot_fig, fig1a):
+    nonrel = make_scenario(pot_fig, K=fig1a.laser.K, formula="nonrel")
+    for s in (fig1a, nonrel):
+        ref = partial(s, 2)
+        for n in (2.0, np.int64(2), np.int32(2)):
+            px = partial(s, n)
+            assert px == ref and type(px.n) is int
 
 
 @pytest.mark.parametrize("check, zeta, kw", [
