@@ -640,6 +640,34 @@ def test_plot_skips_failed_ksweep_points(tmp_path, capsys, rows):
     assert out.count("<circle") == 2 and not re.search(r"\bnan\b", out)
 
 
+def test_plot_with_no_point_on_the_log_axis_exit_3(tmp_path, capsys):
+    path = tmp_path / "env.csv"
+    path.write_text("# sbxs envelope\nn,dsigma_au\n0,0.0\n1,-1.0\n")
+    code, out, err = _run(capsys, ["plot", "--input", str(path)])
+    assert (code, out) == (3, "")
+    assert err == ("domain error: nothing to plot "
+                   "(no finite point; log axis: none > 0)\n")
+
+
+def test_plot_one_row_between_blank_lines(tmp_path, capsys):
+    # one point: both axis ranges are empty and get padded
+    path = tmp_path / "env.csv"
+    path.write_text("# sbxs envelope\n\nn,dsigma_au\n\n0,1032.5\n\n")
+    code, out, _ = _run(capsys, ["plot", "--input", str(path)])
+    assert code == 0
+    assert out.count("<circle") == 1 and out.rstrip().endswith("</svg>")
+    assert ">-0.4<" in out and ">0.4<" in out  # x ticks of n = 0 +- 0.5
+    assert ">1e3<" in out  # the one y tick of log10(1032.5) +- 0.5
+
+
+def test_plot_large_totals_tick_in_exponent_form(tmp_path, capsys):
+    path = tmp_path / "ks.csv"
+    path.write_text("# sbxs ksweep\nK,total_au\n0.1,2e4\n0.3,4e4\n")
+    code, out, _ = _run(capsys, ["plot", "--input", str(path)])
+    assert code == 0
+    assert ">2.0e+04<" in out and ">4.0e+04<" in out
+
+
 def test_plot_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")

@@ -116,6 +116,13 @@ def test_table_requires_monotone_grid(tmp_path):
         PotentialFT.from_table(path)
 
 
+def test_table_requires_two_columns(tmp_path):
+    path = tmp_path / "three.tab"
+    path.write_text("# q_au  u_tilde_au  extra\n0.5 3.0 1.0\n1.0 2.0 1.0\n")
+    with pytest.raises(DomainError, match="expected two columns"):
+        PotentialFT.from_table(path)
+
+
 @pytest.mark.parametrize(
     "body",
     [

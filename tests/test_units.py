@@ -60,6 +60,12 @@ def test_k_domain_errors():
         intensity_to_K(1e16, -2.0)
 
 
+@pytest.mark.parametrize("K, omega", [(-1.0, 1.17), (0.1, 0.0)])
+def test_k_to_intensity_domain_errors(K, omega):
+    with pytest.raises(DomainError):
+        K_to_intensity(K, omega)
+
+
 def test_xs_conversion_value():
     assert xs_to_atomic_units(0.0) == 0.0
     # 1 eV^-2 = (m*alpha)^2 bohr^2 ~ 1.3905e7
@@ -77,6 +83,11 @@ def test_xs_round_trip():
 def test_xs_rejects_nonfinite():
     with pytest.raises(DomainError):
         xs_to_atomic_units(math.inf)
+
+
+def test_xs_from_atomic_units_rejects_nan():
+    with pytest.raises(DomainError):
+        xs_from_atomic_units(math.nan)
 
 
 def test_screening_radius():
