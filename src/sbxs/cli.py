@@ -3,8 +3,8 @@
 Subcommands: partial, envelope, total, ksweep, elastic, gbessel, verify,
 plot.  A JSON config describes the computation; every CSV artifact
 embeds it, fully resolved, in a header comment so a run can be
-reproduced from its output alone.  --K and --tail-cut are written into
-the config; the other flags pick the rows and where they go.
+reproduced from its output alone.  The flags pick the rows and where they
+go, and set nothing the config holds.
 
 The config holds the sections and keys of SCHEMA, each value of the type
 SCHEMA gives it, and nothing else; README.md describes each key.
@@ -19,17 +19,13 @@ import math
 import sys
 
 from . import units
-from .errors import (
-    ChannelClosedError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-)
+from .errors import ConfigError, ConvergenceError, DomainError
 from .gbessel import gbessel, gbessel_quad
 from .kinematics import LaserField
 from .potential import PotentialFT
 from .scan import (
     TAIL_CUT_DEFAULT,
+    _check_tail_cut,
     envelope,
     k_sweep,
     oracle_deviation_sweep,
@@ -143,11 +139,11 @@ def resolve_config(cfg):
     azimuth_deg = geo_c.get("azimuth_deg", 0.0)
 
     formula = run_c.get("formula", "general")
-    tail_cut = run_c.get("tail_cut", TAIL_CUT_DEFAULT)
-    _require(0.0 < tail_cut < 1.0, "run: tail_cut must lie in (0, 1)")
 
-    where = "laser"  # the config keys read by the step that may fail
+    where = "run"  # the config keys read by the step that may fail
     try:
+        tail_cut = _check_tail_cut(run_c.get("tail_cut", TAIL_CUT_DEFAULT))
+        where = "laser"
         omega = (laser_c["photon_energy_eV"] if has_w
                  else units.wavelength_nm_to_ev(laser_c["wavelength_nm"]))
         K = (units.intensity_to_K(laser_c["intensity_W_cm2"], omega)
@@ -182,18 +178,6 @@ def resolve_config(cfg):
         "run": dict(run_c, formula=formula, tail_cut=tail_cut),
     }
     return resolved, scenario, resolved["run"]
-
-
-def _resolve(args):
-    """resolve_config of the config file with --K and --tail-cut written
-    into it, so that they are checked and echoed like the file's values."""
-    cfg = _typed(load_config(args.config))  # so the sections below are objects
-    if args.K is not None and "laser" in cfg:
-        cfg["laser"].pop("intensity_W_cm2", None)
-        cfg["laser"]["K"] = args.K
-    if getattr(args, "tail_cut", None) is not None:
-        cfg.setdefault("run", {})["tail_cut"] = args.tail_cut
-    return resolve_config(cfg)
 
 
 def config_header(resolved, kind):
@@ -240,7 +224,7 @@ def _payload(resolved, kind, channels, fmt, **fields):
 
 
 def cmd_partial(args):
-    resolved, scenario, _ = _resolve(args)
+    resolved, scenario, _ = resolve_config(load_config(args.config))
     px = partial(scenario, args.n)
     _emit(_payload(resolved, "partial", [px], args.format,
                    entry=_px_entry(px)), args.output)
@@ -248,7 +232,7 @@ def cmd_partial(args):
 
 
 def cmd_envelope(args):
-    resolved, scenario, run = _resolve(args)
+    resolved, scenario, run = resolve_config(load_config(args.config))
     n_range = None
     if args.n_min is not None or args.n_max is not None:
         _require(args.n_min is not None and args.n_max is not None,
@@ -267,7 +251,7 @@ def cmd_envelope(args):
 
 def cmd_value(args):
     """total or elastic: one number on one line."""
-    _, scenario, run = _resolve(args)
+    _, scenario, run = resolve_config(load_config(args.config))
     if args.command == "total":
         value = total_xs(scenario, tail_cut=run["tail_cut"])
     else:
@@ -277,7 +261,7 @@ def cmd_value(args):
 
 
 def cmd_ksweep(args):
-    resolved, scenario, run = _resolve(args)
+    resolved, scenario, run = resolve_config(load_config(args.config))
     k_grid = run.get("k_grid")
     _require(k_grid, "ksweep: run.k_grid missing or empty")
     try:
@@ -513,8 +497,6 @@ def build_parser():
     def add_scenario_cmd(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--K", type=float, default=None,
-                       help="set laser.K (drops laser.intensity_W_cm2)")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.set_defaults(fn=fn)
         return p
@@ -528,7 +510,6 @@ def build_parser():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--tail-cut", type=float, default=None)
 
     add_scenario_cmd("total", cmd_value, "summed cross section")
     add_scenario_cmd("elastic", cmd_value, "field-free Mott-Born value")
@@ -564,7 +545,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ChannelClosedError, DomainError) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:

@@ -52,6 +52,13 @@ def _margin(alpha1):
     return alpha1 + MARGIN_FACTOR * (alpha1 ** (1.0 / 3.0) + 1.0)
 
 
+def _check_tail_cut(tail_cut):
+    """tail_cut, or a DomainError unless it lies in (0, 1)."""
+    if not 0.0 < tail_cut < 1.0:
+        raise DomainError(f"tail_cut must lie in (0, 1), got {tail_cut}")
+    return tail_cut
+
+
 def _tail_done(px, vmax, tail_cut):
     return px.value <= tail_cut * vmax and abs(px.n) > _margin(px.alpha1)
 
@@ -99,8 +106,7 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
     are skipped.  The included set is canonical: it never depends on which
     side expanded first, nor on how the channels were grouped into blocks.
     """
-    if not 0.0 < tail_cut < 1.0:
-        raise DomainError(f"tail_cut must lie in (0, 1), got {tail_cut}")
+    _check_tail_cut(tail_cut)
     if n_range is not None:
         n_min = _integer(n_range[0], "n_min")
         n_max = _integer(n_range[1], "n_max")
@@ -125,9 +131,9 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
             if _tail_done(px, vmax, tail_cut):
                 break
 
-    # Canonical trim against the final global peak, the peak of every channel
-    # evaluated: keep each side up to the first channel (scanning outward)
-    # satisfying the stop rule.
+    # Canonical trim against the final global peak, the peak of the center
+    # and of each side up to its stop point: keep each side up to the first
+    # channel (scanning outward) satisfying the stop rule.
     kept = [center]
     for side in sides:
         for px in side:

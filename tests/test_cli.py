@@ -333,17 +333,33 @@ def test_cli_accepts_what_the_library_accepts(tmp_path, capsys, section, key,
     assert f"{section}: " in err and key in err
 
 
-def test_tail_cut_flag_checked_and_echoed(capsys, cfg_path):
-    for bad in ("2", "0", "-1"):  # 0 and -1 would never end the tail
-        code, _, err = _run(capsys, ["envelope", "--config", cfg_path,
-                                     f"--tail-cut={bad}"])
-        assert code == 2
-        assert "config error" in err
-    code, out, _ = _run(capsys, ["envelope", "--config", cfg_path,
-                                 "--tail-cut", "1e-3"])
+def test_run_tail_cut_checked_and_echoed(capsys, tmp_path):
+    cfg = json.loads(json.dumps(FIG1A))
+    path = tmp_path / "tail.json"
+    for bad in (2, 0, -1):  # 0 and -1 would never end the tail
+        cfg["run"]["tail_cut"] = bad
+        path.write_text(json.dumps(cfg))
+        code, out, err = _run(capsys, ["envelope", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert "config error: run: tail_cut" in err
+    cfg["run"]["tail_cut"] = 1e-3
+    path.write_text(json.dumps(cfg))
+    code, out, _ = _run(capsys, ["envelope", "--config", str(path)])
     assert code == 0
     header = [l for l in out.splitlines() if l.startswith("# config: ")]
     assert json.loads(header[0][len("# config: "):])["run"]["tail_cut"] == 1e-3
+
+
+@pytest.mark.parametrize("argv", [
+    [command, "--K", "0"]
+    for command in ("envelope", "total", "elastic", "ksweep")
+] + [["partial", "--n", "0", "--K", "0"], ["envelope", "--tail-cut", "1e-3"]])
+def test_no_flag_sets_a_config_value(capsys, cfg_path, argv):
+    # laser.K and run.tail_cut are set in the config alone
+    with pytest.raises(SystemExit) as exc:  # argparse: unknown flag
+        main(argv[:1] + ["--config", cfg_path] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_format_only_on_partial_and_envelope(capsys, cfg_path):
@@ -378,14 +394,18 @@ def test_unknown_subcommand_exits_2(capsys):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def test_total_and_elastic(capsys, cfg_path):
+def test_total_and_elastic(capsys, cfg_path, tmp_path):
     code, out, _ = _run(capsys, ["total", "--config", cfg_path])
     assert code == 0
     assert float(out) > 0.0
-    code, out0, _ = _run(capsys, ["elastic", "--config", cfg_path, "--K", "0"])
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg["laser"] = {"photon_energy_eV": 1.17, "K": 0.0, "zeta": 1.0}
+    k0_path = tmp_path / "k0.json"
+    k0_path.write_text(json.dumps(cfg))
+    code, out0, _ = _run(capsys, ["elastic", "--config", str(k0_path)])
     assert code == 0
     code, out1, _ = _run(capsys, ["elastic", "--config", cfg_path])
-    # elastic reference is field-free: K override must not matter
+    # the elastic reference is field-free: K must not matter
     assert out0 == out1
 
 

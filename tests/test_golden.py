@@ -46,6 +46,8 @@ CONFIGS = {
                            electron={"kinetic_energy_eV": 27.0},
                            geometry={"deflection_mrad": 200.0},
                            run={"formula": "nonrel"}),
+    # no field: one channel, n = 0
+    "K0": _config(laser={"photon_energy_eV": 1.17, "K": 0.0, "zeta": 1.0}),
     # zeta not a power of two and a direction off every axis, so the zeta
     # products and the frame projections round
     "oblique": _config(laser={"photon_energy_eV": 1.17, "K": 0.17, "zeta": 0.3},
@@ -64,7 +66,7 @@ CASES = {
     "partial-n-4.csv": ["partial", "--config", "{fig1a}", "--n", "-4"],
     "partial-n-4.json": ["partial", "--config", "{fig1a}", "--n", "-4",
                          "--format", "json"],
-    "envelope-K0.csv": ["envelope", "--config", "{fig1a}", "--K", "0"],
+    "envelope-K0.csv": ["envelope", "--config", "{K0}"],
     "envelope-range.csv": ["envelope", "--config", "{fig1a}",
                            "--n-min", "-6", "--n-max", "6"],
     "envelope-nonrel.csv": ["envelope", "--config", "{nonrel}"],
