@@ -93,7 +93,11 @@ class Scenario:
         return self._dressed
 
     def channel(self, n, dressed_state=None):
-        """n-photon channel kinematics; dressed_state must be self.dressed()."""
+        """n-photon channel kinematics of the scenario's own dressed state.
+
+        dressed_state is ignored; it stays only because bench/checks.py
+        passes it.
+        """
         return open_channel(self._dressed, n, self._rhat, self.laser)
 
     def with_K(self, K):
