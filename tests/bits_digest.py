@@ -171,7 +171,8 @@ def compare(path_a, path_b):
     peaks = {}
     worst = {}  # scenario -> (largest |delta|, its key)
     total = differ = 0
-    with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
+    with open(path_a, encoding="utf-8") as fa, \
+            open(path_b, encoding="utf-8") as fb:
         for line_a, line_b in itertools.zip_longest(fa, fb, fillvalue=""):
             total += 1
             *key_a, text_a = line_a.rstrip("\n").split("\t")
@@ -186,7 +187,7 @@ def compare(path_a, path_b):
             delta = abs(_number(text_a) - _number(text_b))
             if key_a != key_b or not math.isfinite(delta):
                 delta = math.inf
-            if delta > worst.get(key[0], (-1.0,))[0]:
+            if key[0] not in worst or delta > worst[key[0]][0]:
                 worst[key[0]] = (delta, key)
     ratio, where = 0.0, None
     for scenario, (delta, key) in worst.items():
