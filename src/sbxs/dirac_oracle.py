@@ -95,7 +95,11 @@ def _abar(A):
 
 def amplitude_matrix(channel, laser, dressed):
     """Channel amplitude matrix A (see module docstring for the form)."""
-    d = d_functions(channel, laser, dressed)
+    return _amplitude(channel, laser, dressed, d_functions(channel, laser, dressed))
+
+
+def _amplitude(channel, laser, dressed, d):
+    """amplitude_matrix from the channel's DFunctions d."""
     omega = laser.omega
     kp, kpf = dressed.kdotp, channel.kdotp_final
     q = channel.q_n
@@ -127,16 +131,22 @@ def amplitude_matrix(channel, laser, dressed):
     return -M / (2.0 * ELECTRON_MASS_EV)
 
 
-def xs_oracle(scenario, n):
+def xs_oracle(scenario, n, lane=None):
     """Partial cross section [bohr^2/sr] from the explicit spinor algebra.
 
     Evaluates both the double spin sum over f^munu and the trace form and
-    insists they agree to 1e-10 relative before returning.
+    insists they agree to 1e-10 relative before returning.  lane is the
+    (Channel, DFunctions) of channel n when the caller has evaluated it,
+    so that its Bessel rows are not built twice; by default both are
+    built here.
     """
     laser = scenario.laser
     dressed = scenario.dressed()
-    channel = scenario.channel(n)
-    A = amplitude_matrix(channel, laser, dressed)
+    if lane is None:
+        channel = scenario.channel(n)
+        lane = channel, d_functions(channel, laser, dressed)
+    channel, d = lane
+    A = _amplitude(channel, laser, dressed, d)
 
     p, pf = dressed.p, channel.p_final
     m = ELECTRON_MASS_EV

@@ -140,7 +140,7 @@ def _sweep(xs, nmaxs, windows):
     offset = np.concatenate(([0], np.cumsum(width)[:-1]))
     # One slot of `work` per stored value, lane after lane; stores[k] holds
     # the (slots, lanes) of the values stored at step k.
-    orders = np.concatenate([np.arange(a, a + w) for a, w in zip(lo, width)])
+    orders = np.arange(width.sum()) - np.repeat(offset - lo, width)
     by_k = np.argsort(-orders, kind="stable")
     lane_of = np.repeat(np.arange(len(lanes)), width)[by_k]
     at = np.searchsorted(-orders[by_k], -np.arange(top + 2), side="right")
@@ -253,16 +253,9 @@ def _series_plan(n_min, n_max, u, v, delta):
 
 
 def _series(orders, u, v, delta, k_max, u_cut, row_u, lo, row_v):
-    """Series evaluation of J_n(u, v, D) over integer orders, from the
-    J_m(|u|) row (orders lo and up) and the J_k(|v|) row."""
+    """Series evaluation of J_n(u, v, D), v != 0, over integer orders, from
+    the J_m(|u|) row (orders lo and up) and the J_k(|v|) row."""
     out = np.zeros(orders.shape, dtype=complex)
-    if v == 0.0:
-        # J_k(0) = [k == 0], so only the k = 0 term is left: J_n(u) inside
-        # the support and 0 beyond it.  "+ 0.0" turns -0.0 into the +0.0
-        # that the summed k window gives.
-        inside = np.abs(orders) <= u_cut
-        out[inside] = _jn_lookup(row_u, orders[inside], u < 0.0, lo) + 0.0
-        return out
     for i, n in enumerate(orders):
         n = int(n)
         k_lo = max(-k_max, int(math.ceil((n - u_cut) / 2.0)))
@@ -274,6 +267,29 @@ def _series(orders, u, v, delta, k_max, u_cut, row_u, lo, row_v):
         jv = _jn_lookup(row_v, ks, v < 0.0)
         out[i] = np.sum(np.exp(-2.0j * delta * ks) * ju * jv)
     return out
+
+
+def _v0_gather(rows, n_mins, widths, us, u_cuts, los):
+    """J_n(u, 0, D) of every order of several lanes, lane after lane, read
+    from their J_m(|u|) rows (orders lo and up) in one gather.
+
+    J_k(0) = [k == 0], so only the k = 0 term of the series is left: J_n(u)
+    inside the support |n| <= u_cut and 0 beyond it.  "+ 0.0" turns -0.0
+    into the +0.0 that the summed k window gives.
+    """
+    widths = np.array(widths)
+    starts = np.concatenate(([0], np.cumsum(widths)[:-1]))
+    bases = np.concatenate(([0], np.cumsum([row.size for row in rows])[:-1]))
+    lane = np.repeat(np.arange(widths.size), widths)
+    orders = np.arange(widths.sum()) - starts[lane] + np.array(n_mins)[lane]
+    a = np.abs(orders)
+    inside = a <= np.array(u_cuts)[lane]
+    at = np.where(inside, bases[lane] + a - np.array(los)[lane], 0)
+    sign = np.where((orders < 0) & (a % 2 == 1), -1.0, 1.0)
+    neg = (np.array(us) < 0.0)[lane]
+    sign = np.where(neg & (orders % 2 != 0), -sign, sign)
+    values = np.concatenate(rows)[at] * sign + 0.0
+    return np.where(inside, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -290,12 +306,15 @@ class GBesselRow:
         return self.values[n - self.n_min]
 
 
-def gbessel_rows(specs):
-    """[gbessel_row(*spec) for spec in specs], spec = (n_min, n_max, u, v,
-    delta), with the ordinary-Bessel rows of all specs built by one
-    _jn_rows call (the J_k(|v|) row is skipped when v = 0)."""
-    specs = [(_integer(a, "n_min"), _integer(b, "n_max"), u, v, d)
-             for a, b, u, v, d in specs]
+def gbessel_block(specs):
+    """J_n(u, v, D) over n_min..n_max of every spec (n_min, n_max, u, v,
+    delta), lane after lane, as one flat complex array.
+
+    The ordinary-Bessel rows of all specs come from one _jn_rows call (the
+    J_k(|v|) row is skipped when v = 0).  The v = 0 lanes are read from
+    their rows in one gather; the v != 0 lanes are summed lane by lane.
+    n_min and n_max are ints.
+    """
     plans = [_series_plan(*spec) for spec in specs]
     xs, nmaxs, windows = [], [], []
     for (_, _, u, v, _), (k_max, _, u_top, window) in zip(specs, plans):
@@ -307,13 +326,42 @@ def gbessel_rows(specs):
             nmaxs.append(k_max)
             windows.append((0, k_max))
     rows = iter(_jn_rows(xs, nmaxs, windows))
-    out = []
-    for (n_min, n_max, u, v, delta), (k_max, u_cut, _, (lo, _)) in zip(specs, plans):
+    widths = [n_max - n_min + 1 for n_min, n_max, *_ in specs]
+    out = np.zeros(sum(widths), dtype=complex)
+    v0 = []   # (out slice, J_m(|u|) row, n_min, width, u, u_cut, lo) at v = 0
+    start = 0
+    for (n_min, n_max, u, v, delta), (k_max, u_cut, _, (lo, _)), width in zip(
+            specs, plans, widths):
+        at = slice(start, start + width)
+        start += width
         row_u = next(rows)
-        row_v = next(rows) if v != 0.0 else None
+        if v == 0.0:
+            v0.append((at, row_u, n_min, width, u, u_cut, lo))
+            continue
         orders = np.arange(n_min, n_max + 1)
-        values = _series(orders, u, v, delta, k_max, u_cut, row_u, lo, row_v)
-        out.append(GBesselRow(n_min, n_max, values))
+        out[at] = _series(orders, u, v, delta, k_max, u_cut, row_u, lo,
+                          next(rows))
+    if v0:
+        slots, *lanes = zip(*v0)
+        values = _v0_gather(*lanes)
+        if len(slots) == len(specs):
+            out[:] = values
+        else:
+            out[np.concatenate([np.arange(s.start, s.stop) for s in slots])] = values
+    return out
+
+
+def gbessel_rows(specs):
+    """[gbessel_row(*spec) for spec in specs], spec = (n_min, n_max, u, v,
+    delta), from one gbessel_block call."""
+    specs = [(_integer(a, "n_min"), _integer(b, "n_max"), u, v, d)
+             for a, b, u, v, d in specs]
+    values = gbessel_block(specs)
+    out, start = [], 0
+    for n_min, n_max, *_ in specs:
+        stop = start + n_max - n_min + 1
+        out.append(GBesselRow(n_min, n_max, values[start:stop]))
+        start = stop
     return out
 
 

@@ -238,13 +238,65 @@ class Channel:
     beta2: float
 
 
-def open_channel(dressed, n, rhat, laser):
-    """Channel kinematics for n exchanged photons in direction rhat.
+@dataclass(frozen=True, eq=False)
+class ChannelBlock:
+    """The kinematics of a block of open channels as arrays, one lane per
+    channel in block order: the fields of Channel, with q_n of shape (N, 3)
+    and p_final of shape (N, 4) (time component first).  n is a list of
+    ints."""
 
-    Raises ChannelClosedError when the final quasienergy falls below the
-    effective mass; n must be an integer, else a DomainError.
+    n: list
+    Pi0_final: np.ndarray
+    Pi_n: np.ndarray
+    q_n: np.ndarray
+    q2: np.ndarray
+    q_perp2: np.ndarray
+    p_final: np.ndarray
+    Z_final: np.ndarray
+    kdotp_final: np.ndarray
+    alpha1: np.ndarray
+    alpha2: np.ndarray
+    theta1: np.ndarray
+    beta2: np.ndarray
+
+    def channel(self, i):
+        """Lane i as a Channel, its fields Python floats."""
+        return Channel(
+            n=self.n[i],
+            Pi0_final=float(self.Pi0_final[i]),
+            Pi_n=float(self.Pi_n[i]),
+            q_n=self.q_n[i].copy(),
+            q2=float(self.q2[i]),
+            q_perp2=float(self.q_perp2[i]),
+            p_final=FourVector(*self.p_final[i].tolist()),
+            Z_final=float(self.Z_final[i]),
+            kdotp_final=float(self.kdotp_final[i]),
+            alpha1=float(self.alpha1[i]),
+            alpha2=float(self.alpha2[i]),
+            theta1=float(self.theta1[i]),
+            beta2=float(self.beta2[i]),
+        )
+
+
+def _max0(x):
+    """Python's max(x, 0.0) lane by lane: x unless 0.0 > x, so -0.0 and NaN
+    pass through (np.maximum turns -0.0 into 0.0)."""
+    return np.where(0.0 > x, 0.0, x)
+
+
+def open_channels(dressed, ns, rhat, laser):
+    """Kinematics of the channels ns exchanging n photons in direction rhat.
+
+    Returns (the ChannelBlock of the open channels, in order; the
+    ChannelClosedError of the first closed one, or None).  A channel is
+    closed when its final quasienergy falls below the effective mass.
+    Every n must be an integer, else a DomainError naming the first that
+    is not.  Every lane gets the bits of the same formulas evaluated on
+    Python floats, so they do not depend on the block around it.  Two steps
+    stay per lane: alpha_theta, whose math.hypot np.hypot does not match,
+    and q^2 by np.dot, which no array form matches.
     """
-    n = _integer(n, "photon number")
+    ns = [_integer(n, "photon number") for n in ns]
     r = _vec(rhat)
     r = r / float(np.linalg.norm(r))
     omega = laser.omega
@@ -252,32 +304,44 @@ def open_channel(dressed, n, rhat, laser):
     Pi0 = dressed.Pi.t
     pivec = dressed.Pi.vec3
 
-    Pi0f = Pi0 + n * omega
-    if Pi0f < dressed.mstar:
-        raise ChannelClosedError(n)
-    pin2 = float(np.dot(pivec, pivec)) + n * omega * (2.0 * Pi0 + n * omega)
-    Pi_n = math.sqrt(max(pin2, 0.0))
+    n_omega = np.array(ns, dtype=float) * omega
+    Pi0f = Pi0 + n_omega
+    shut = Pi0f < dressed.mstar
+    closed = None
+    if shut.any():
+        closed = ChannelClosedError(ns[int(np.argmax(shut))])
+        ns = [n for n, s in zip(ns, shut.tolist()) if not s]
+        n_omega, Pi0f = n_omega[~shut], Pi0f[~shut]
 
-    pivec_f = Pi_n * r
-    q = pivec_f - pivec
-    q[2] -= n * omega
-    kdotpi_f = omega * (Pi0f - float(pivec_f[2]))
-    Zf = laser.a0bar**2 / (4.0 * kdotpi_f)
-    shift = omega * (Zf * (1.0 + zeta**2))
-    p_final = FourVector(Pi0f - shift, float(pivec_f[0]), float(pivec_f[1]),
-                         float(pivec_f[2]) - shift)
+    # Overflow gives inf (and then nan) with no warning, as on Python floats.
+    # A k.Pi' that rounds to 0 gives Z' = inf, which the Bessel layer then
+    # refuses as a DomainError (Python floats would raise ZeroDivisionError).
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pin2 = float(np.dot(pivec, pivec)) + n_omega * (2.0 * Pi0 + n_omega)
+        Pi_n = np.sqrt(_max0(pin2))
 
-    kdotpi = dressed.kdotp  # k.Pi = k.p exactly (k^2 = 0)
-    rho = pivec_f / kdotpi_f - pivec / kdotpi
-    alpha1, theta1 = alpha_theta(rho, laser)
-    alpha2 = 0.5 * (Zf - dressed.Z) * (1.0 - zeta**2)
+        pivec_f = Pi_n[:, None] * r
+        q = pivec_f - pivec
+        q[:, 2] -= n_omega
+        kdotpi_f = omega * (Pi0f - pivec_f[:, 2])
+        Zf = laser.a0bar**2 / (4.0 * kdotpi_f)
+        shift = omega * (Zf * (1.0 + zeta**2))
+        p_final = np.column_stack((Pi0f - shift, pivec_f[:, 0], pivec_f[:, 1],
+                                   pivec_f[:, 2] - shift))
 
-    q2 = float(np.dot(q, q))
-    q_perp2 = max(q2 - float(q[2]) ** 2, 0.0)
-    beta2 = laser.a0bar**2 * omega**2 * q_perp2 / (kdotpi * kdotpi_f)
+        kdotpi = dressed.kdotp  # k.Pi = k.p exactly (k^2 = 0)
+        rho = pivec_f / kdotpi_f[:, None] - pivec / kdotpi
+        a1t1 = [alpha_theta(lane, laser) for lane in rho.tolist()]
+        alpha1 = np.array([a for a, _ in a1t1])
+        theta1 = np.array([t for _, t in a1t1])
+        alpha2 = 0.5 * (Zf - dressed.Z) * (1.0 - zeta**2)
 
-    return Channel(
-        n=n,
+        q2 = np.array([float(np.dot(lane, lane)) for lane in q])
+        q_perp2 = _max0(q2 - np.float_power(q[:, 2], 2.0))
+        beta2 = laser.a0bar**2 * omega**2 * q_perp2 / (kdotpi * kdotpi_f)
+
+    return ChannelBlock(
+        n=ns,
         Pi0_final=Pi0f,
         Pi_n=Pi_n,
         q_n=q,
@@ -290,4 +354,17 @@ def open_channel(dressed, n, rhat, laser):
         alpha2=alpha2,
         theta1=theta1,
         beta2=beta2,
-    )
+    ), closed
+
+
+def open_channel(dressed, n, rhat, laser):
+    """Channel kinematics for n exchanged photons in direction rhat: the
+    one-channel call of open_channels.
+
+    Raises ChannelClosedError when the final quasienergy falls below the
+    effective mass; n must be an integer, else a DomainError.
+    """
+    block, closed = open_channels(dressed, [n], rhat, laser)
+    if closed is not None:
+        raise closed
+    return block.channel(0)

@@ -101,18 +101,26 @@ class PotentialFT:
 def u_tilde(pot, q2):
     """U~ at the squared momentum transfer q2 = q.q [eV^2], finite and >= 0
     (else a DomainError); result in eV^-2.  The potential is radial, so U~
-    depends on q2 alone."""
-    if not (math.isfinite(q2) and q2 >= 0.0):
-        raise DomainError(f"q^2 must be finite and >= 0, got {q2} eV^2")
+    depends on q2 alone.  q2 may be an array: U~ is then an array too, and
+    the DomainError is the one of its first value that has one."""
+    q = np.asarray(q2, dtype=float)
+    ok = np.isfinite(q) & (q >= 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        u_tilde(pot, q.flat[:i])   # an earlier value's own error comes first
+        raise DomainError(f"q^2 must be finite and >= 0, got {float(q.flat[i])} eV^2")
     if pot.kind == SCREENED_COULOMB:
-        denom = q2 + pot.chi**2
-        if denom == 0.0:
+        denom = q + pot.chi**2
+        if (denom == 0.0).any():
             raise DomainError("pure Coulomb transform is singular at q = 0")
-        return 4.0 * math.pi * pot.Za * FINE_STRUCTURE / denom
-    qmag = math.sqrt(q2)
-    if qmag < pot.q_table[0] or qmag > pot.q_table[-1]:
-        raise DomainError(
-            f"|q| = {qmag} eV outside table range "
-            f"[{pot.q_table[0]}, {pot.q_table[-1]}] eV"
-        )
-    return float(pot._interp(qmag))
+        ut = 4.0 * math.pi * pot.Za * FINE_STRUCTURE / denom
+    else:
+        qmag = np.sqrt(q)
+        outside = (qmag < pot.q_table[0]) | (qmag > pot.q_table[-1])
+        if outside.any():
+            raise DomainError(
+                f"|q| = {float(qmag.flat[np.argmax(outside)])} eV outside table "
+                f"range [{pot.q_table[0]}, {pot.q_table[-1]}] eV"
+            )
+        ut = pot._interp(qmag)
+    return float(ut) if q.ndim == 0 else ut

@@ -16,7 +16,7 @@ from .potential import PotentialFT
 from .xsection import (
     Scenario,
     partial_xs_general,
-    partial_xs_general_batch,
+    partial_xs_general_block,
     partial_xs_nonrel,
 )
 
@@ -26,7 +26,7 @@ TAIL_CUT_DEFAULT = 1.0e-8
 MARGIN_FACTOR = 10.0
 
 # Channels per side in each block of the auto range after the first, which
-# reaches the Bessel-support margin of alpha1(0).
+# reaches the Bessel-support margin of alpha1(0) on both sides at once.
 BLOCK_EXTEND = 24
 
 
@@ -67,35 +67,35 @@ def _block(scenario, ns):
     """Open channels of ns, in order, closed ones skipped.  Returns
     (entries, the first ChannelClosedError met or None).
 
-    The general formula builds the Bessel rows of the whole block at once;
-    the nonrel reference evaluates one channel at a time.
+    The general formula evaluates the whole block as arrays (one Miller
+    sweep for its Bessel rows); the nonrel reference evaluates one channel
+    at a time.  An error other than a closed channel is the one of the
+    first channel, in block order, that has one.
     """
-    general = scenario.formula == "general"
-    opened, closed = [], None
-    for n in ns:
-        try:
-            opened.append(scenario.channel(n) if general
-                          else partial_xs_nonrel(scenario, n))
-        except ChannelClosedError as exc:
-            closed = closed or exc
-    if general:
-        opened = partial_xs_general_batch(scenario, opened)
-    return opened, closed
+    if scenario.formula != "general":
+        entries, closed = [], None
+        for n in ns:
+            try:
+                entries.append(partial_xs_nonrel(scenario, n))
+            except ChannelClosedError as exc:
+                closed = closed or exc
+        return entries, closed
+    block, closed = scenario.channels(ns)
+    return partial_xs_general_block(scenario, block)[0], closed
 
 
-def _outward(scenario, step, reach):
+def _outward(scenario, step, first, reach):
     """Entries of channels step, 2*step, ... outward, up to the first
-    closed one, evaluated as iterated: reach channels, then BLOCK_EXTEND
-    channels at a time.  A channel closes only below a threshold n, so
-    every channel past a closed one is closed too."""
-    n, size = step, reach
-    while True:
-        entries, closed = _block(scenario, range(n, n + step * size, step))
+    closed one: first, the entries of the first reach channels, then
+    BLOCK_EXTEND channels at a time.  A channel closes only below a
+    threshold n, so every channel past a closed one is closed too, and a
+    block that skipped one ends the side."""
+    yield from first
+    entries, size, n = first, reach, step * (reach + 1)
+    while len(entries) == size:
+        entries, _ = _block(scenario, range(n, n + step * BLOCK_EXTEND, step))
         yield from entries
-        if closed is not None:
-            return
-        n += step * size
-        size = BLOCK_EXTEND
+        size, n = BLOCK_EXTEND, n + step * BLOCK_EXTEND
 
 
 def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
@@ -121,11 +121,16 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
     if scenario.laser.a0bar == 0.0:
         return _finish_envelope([center])
 
+    # One block holds the first reach channels of both sides, +n before -n:
+    # they reach the Bessel-support margin of alpha1(0).
     reach = int(_margin(center.alpha1)) + 1
+    entries, _ = _block(scenario, [*range(1, reach + 1),
+                                   *range(-1, -reach - 1, -1)])
     vmax = center.value
     sides = ([], [])
     for step, side in zip((1, -1), sides):
-        for px in _outward(scenario, step, reach):
+        first = [px for px in entries if (px.n > 0) == (step > 0)]
+        for px in _outward(scenario, step, first, reach):
             side.append(px)
             vmax = max(vmax, px.value)
             if _tail_done(px, vmax, tail_cut):
@@ -253,11 +258,13 @@ def oracle_deviation_sweep(seed, samples):
         floor = 1.0e-12 * ch0.value
         for _ in range(12):
             n = int(rng.integers(-span, span + 1))
-            try:
-                general = partial_xs_general(scenario, n).value
-                oracle = xs_oracle(scenario, n)
-            except ChannelClosedError:
+            block, closed = scenario.channels([n])
+            if closed is not None:
                 continue
+            # the oracle reads the channel's D-functions from this block
+            [entry], d = partial_xs_general_block(scenario, block)
+            general = entry.value
+            oracle = xs_oracle(scenario, n, (block.channel(0), d.lane(0)))
             scale = max(abs(general), abs(oracle))
             if scale <= floor:
                 continue

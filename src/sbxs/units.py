@@ -10,6 +10,8 @@ boundary.
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
 ELECTRON_MASS_EV = 510_998.95            # electron rest energy [eV]
@@ -56,9 +58,13 @@ def K_to_intensity(K, photon_energy_ev):
 
 
 def xs_to_atomic_units(xs_ev2):
-    """Convert a cross section from natural units (eV^-2) to bohr^2."""
-    if not math.isfinite(xs_ev2):
-        raise DomainError(f"cross section must be finite, got {xs_ev2}")
+    """Convert a cross section from natural units (eV^-2) to bohr^2.  An
+    array converts value by value; a value that is not finite is a
+    DomainError (for an array, its first such value)."""
+    finite = np.isfinite(xs_ev2)
+    if not finite.all():
+        bad = xs_ev2 if finite.ndim == 0 else xs_ev2[np.argmin(finite)]
+        raise DomainError(f"cross section must be finite, got {bad}")
     return xs_ev2 * BOHR_INV_EV**2
 
 

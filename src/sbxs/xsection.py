@@ -22,7 +22,6 @@ and linear closed forms are kept as independent cross-check paths; the
 general form above is authoritative everywhere.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -34,7 +33,7 @@ from .errors import (
     LinearPathUnstableError,
     _integer,
 )
-from .gbessel import bessel_j, gbessel_row, gbessel_rows
+from .gbessel import bessel_j, gbessel_block, gbessel_row
 from .kinematics import (
     E1,
     E2,
@@ -46,6 +45,7 @@ from .kinematics import (
     deflection_frame,
     dress,
     open_channel,
+    open_channels,
 )
 from .potential import u_tilde
 from .units import ELECTRON_MASS_EV, xs_to_atomic_units
@@ -100,6 +100,12 @@ class Scenario:
         """
         return open_channel(self._dressed, n, self._rhat, self.laser)
 
+    def channels(self, ns):
+        """open_channels of the scenario's own dressed state: (the
+        ChannelBlock of the open channels of ns, the first
+        ChannelClosedError or None)."""
+        return open_channels(self._dressed, ns, self._rhat, self.laser)
+
     def with_K(self, K):
         return replace(self, laser=self.laser.with_K(K))
 
@@ -113,6 +119,26 @@ class DFunctions:
     d2n: complex
     dvec: np.ndarray
     dvec_abs2: float
+
+
+@dataclass(frozen=True, eq=False)
+class DFunctionsBlock:
+    """The DFunctions of every lane of a block: D_n, D_{1,n}(theta(p)) and
+    D_{2,n} as (real part, imaginary part) pairs of arrays, Dvec of shape
+    (N, 3) and |Dvec|^2."""
+
+    d_n: tuple
+    d1n_p: tuple
+    d2n: tuple
+    dvec: np.ndarray
+    dvec_abs2: np.ndarray
+
+    def lane(self, i):
+        def at(parts):
+            return np.complex128(complex(parts[0][i], parts[1][i]))
+        return DFunctions(d_n=at(self.d_n), d1n_p=at(self.d1n_p),
+                          d2n=at(self.d2n), dvec=self.dvec[i],
+                          dvec_abs2=float(self.dvec_abs2[i]))
 
 
 @dataclass(frozen=True)
@@ -143,80 +169,140 @@ class PartialXS:
         return cls(n=n, value=value, terms=terms, alpha1=alpha1, q2=q2)
 
 
-def _d_row_spec(channel):
-    """gbessel_row arguments of the orders n-2..n+2 that D-functions read."""
-    n = channel.n
-    return (n - 2, n + 2, channel.alpha1, -channel.alpha2, channel.theta1)
+def _complex(re, im):
+    """The complex array re + i im, each part copied as it is."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
-def d_functions(channel, laser, dressed, row=None):
-    """D_n, D_{1,n}(theta(p)), D_{2,n} and Dvec for one open channel.
+def _cmul(ar, ai, br, bi):
+    """(a b).real, (a b).imag as a complex product of numpy or Python
+    scalars computes them; a real factor enters as (x, 0.0), as it is
+    promoted there, so that signed zeros come out the same."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
-    row is gbessel_row(*_d_row_spec(channel)) when the caller built it.
+
+def _expi(t):
+    """cmath.exp(1j * t) as (cos, sin): 1j * t has the imaginary part
+    0.0 + t, which turns t = -0.0 into +0.0."""
+    t = t + 0.0
+    return np.cos(t), np.sin(t)
+
+
+def _d_block(ns, alpha1, alpha2, theta1, laser, dressed):
+    """The DFunctionsBlock of the lanes (n, alpha1, alpha2, theta1) of a
+    block.
+
+    Lane i reads J_{n-2..n+2}(alpha1, -alpha2, theta1) and gets the bits
+    of the same formulas evaluated on numpy and Python complex scalars:
+    each complex product is written out as real arithmetic (numpy's
+    complex-array product does not match the scalar one bit for bit), and
+    cmath.exp(-1j t) is (cos(-t), sin(-t)).  Dvec stays complex-array
+    arithmetic over (N, 3), which matches lane by lane.
     """
-    n = channel.n
-    t1 = channel.theta1
-    if row is None:
-        row = gbessel_row(*_d_row_spec(channel))
-    jm2, jm1, jn, jp1, jp2 = (row[m] for m in range(n - 2, n + 3))
+    specs = [(n - 2, n + 2, a1, -a2, t1) for n, a1, a2, t1 in
+             zip(ns, alpha1.tolist(), alpha2.tolist(), theta1.tolist())]
+    rows = gbessel_block(specs).reshape(-1, 5).T
+    (m2r, m1r, jnr, p1r, p2r) = np.ascontiguousarray(rows.real)
+    (m2i, m1i, jni, p1i, p2i) = np.ascontiguousarray(rows.imag)
 
-    rel = t1 - dressed.theta_pi
-    d1n = 0.5 * (jm1 * cmath.exp(-1j * rel) + jp1 * cmath.exp(1j * rel))
+    rel = theta1 - dressed.theta_pi
+    ar, ai = _cmul(m1r, m1i, np.cos(-rel), np.sin(-rel))
+    br, bi = _cmul(p1r, p1i, *_expi(rel))
+    d1 = _cmul(0.5, 0.0, ar + br, ai + bi)
 
     zeta2 = laser.zeta**2
-    d2n = (1.0 + zeta2) * jn + 0.5 * (1.0 - zeta2) * (
-        jm2 * cmath.exp(-2j * t1) + jp2 * cmath.exp(2j * t1)
-    )
+    ar, ai = _cmul(m2r, m2i, np.cos(-2.0 * theta1), np.sin(-2.0 * theta1))
+    br, bi = _cmul(p2r, p2i, *_expi(2.0 * theta1))
+    er, ei = _cmul(0.5 * (1.0 - zeta2), 0.0, ar + br, ai + bi)
+    fr, fi = _cmul(1.0 + zeta2, 0.0, jnr, jni)
+    d2 = (fr + er, fi + ei)
 
-    em = cmath.exp(-1j * t1)
-    ep = cmath.exp(1j * t1)
+    em = _complex(np.cos(-theta1), np.sin(-theta1))[:, None]
+    ep = _complex(*_expi(theta1))[:, None]
     pol_m = 0.5 * (E1 + 1j * laser.zeta * E2)
     pol_p = 0.5 * (E1 - 1j * laser.zeta * E2)
+    jm1, jp1 = rows[1][:, None], rows[3][:, None]
     dvec = laser.a0bar * (pol_m * jm1 * em + pol_p * jp1 * ep)
-    dvec_abs2 = float(np.sum(np.abs(dvec) ** 2))
+    dvec_abs2 = np.sum(np.abs(dvec) ** 2, axis=1)
+    return DFunctionsBlock(d_n=(jnr, jni), d1n_p=d1, d2n=d2, dvec=dvec,
+                   dvec_abs2=dvec_abs2)
 
-    return DFunctions(d_n=jn, d1n_p=d1n, d2n=d2n, dvec=dvec, dvec_abs2=dvec_abs2)
+
+def d_functions(channel, laser, dressed):
+    """D_n, D_{1,n}(theta(p)), D_{2,n} and Dvec for one open channel: the
+    one-lane call of the block kernel."""
+    return _d_block([channel.n], np.array([channel.alpha1]),
+                    np.array([channel.alpha2]), np.array([channel.theta1]),
+                    laser, dressed).lane(0)
 
 
-def _prefactor_au(scenario, dressed, channel):
-    """|Pivec'| |U~(q_n)|^2 / ((4 pi)^2 |Pivec|), converted to bohr^2/sr."""
-    ut = u_tilde(scenario.potential, channel.q2)
-    pref_nat = channel.Pi_n * ut**2 / (FOUR_PI_SQ * dressed.pivec_mag)
+def _prefactor_au(scenario, dressed, Pi_n, q2):
+    """|Pivec'| |U~(q_n)|^2 / ((4 pi)^2 |Pivec|), converted to bohr^2/sr,
+    lane by lane over arrays Pi_n and q2 (or for one channel's floats)."""
+    ut = u_tilde(scenario.potential, q2)
+    with np.errstate(over="ignore"):    # as the Python floats it replaces
+        pref_nat = Pi_n * np.float_power(ut, 2.0) / (FOUR_PI_SQ * dressed.pivec_mag)
     return xs_to_atomic_units(pref_nat)
 
 
-def partial_xs_general_batch(scenario, channels):
-    """partial_xs_general of each open channel of the scenario, in order;
-    one gbessel_rows call builds the Bessel rows of all of them."""
+def _channel_prefactor_au(scenario, dressed, channel):
+    """_prefactor_au of one Channel, as a float."""
+    return float(_prefactor_au(scenario, dressed, np.array([channel.Pi_n]),
+                               np.array([channel.q2]))[0])
+
+
+def partial_xs_general_block(scenario, block):
+    """partial_xs_general of every lane of a ChannelBlock of the scenario,
+    in order, and the lanes' D-functions (a DFunctionsBlock).
+
+    One gbessel_block call reads the Bessel windows of all lanes; the
+    D-functions, the three terms and the prefactor are array expressions
+    that give each lane the bits of the same formulas evaluated on scalars.
+    For those bits, x ** 2 of a float is np.float_power(x, 2.0) (np.power
+    and x * x do not match it), and abs() of a complex is np.hypot of its
+    parts (np.abs of a complex array does not match it).
+    """
     laser = scenario.laser
     dressed = scenario.dressed()
     omega = laser.omega
-    eps = dressed.p.t
-    rows = gbessel_rows([_d_row_spec(channel) for channel in channels])
-    out = []
-    for channel, row in zip(channels, rows):
-        d = d_functions(channel, laser, dressed, row)
-        amp = (eps * d.d_n + omega * dressed.Z * d.d2n
-               - omega * dressed.alpha_pi * d.d1n_p)
-        wave_factor = (omega**2 * channel.q_perp2
-                       / (dressed.kdotp * channel.kdotp_final))
+    d = _d_block(block.n, block.alpha1, block.alpha2, block.theta1, laser,
+                 dressed)
+    (jnr, jni), (d1r, d1i), (d2r, d2i) = d.d_n, d.d1n_p, d.d2n
 
-        main = 4.0 * abs(amp) ** 2
-        recoil = -channel.q2 * abs(d.d_n) ** 2
-        wave = wave_factor * (
-            d.dvec_abs2 - 0.5 * laser.a0bar**2 * (d.d_n * d.d2n.conjugate()).real
-        )
+    ar, ai = _cmul(dressed.p.t, 0.0, jnr, jni)
+    br, bi = _cmul(omega * dressed.Z, 0.0, d2r, d2i)
+    cr, ci = _cmul(omega * dressed.alpha_pi, 0.0, d1r, d1i)
+    amp_abs = np.hypot(ar + br - cr, ai + bi - ci)
+    with np.errstate(over="ignore", invalid="ignore"):   # Python floats before
+        wave_factor = (omega**2 * block.q_perp2
+                       / (dressed.kdotp * block.kdotp_final))
+    re_dn_d2n = jnr * d2r - jni * -d2i          # (D_n conj(D_{2,n})).real
 
-        pref = _prefactor_au(scenario, dressed, channel)
-        out.append(PartialXS.from_terms(channel.n, channel.alpha1, channel.q2,
-                                        main, recoil, wave, pref))
-    return out
+    main = 4.0 * np.float_power(amp_abs, 2.0)
+    recoil = -block.q2 * np.float_power(np.hypot(jnr, jni), 2.0)
+    wave = wave_factor * (d.dvec_abs2 - 0.5 * laser.a0bar**2 * re_dn_d2n)
+
+    pref = _prefactor_au(scenario, dressed, block.Pi_n, block.q2)
+    terms = (pref * main, pref * recoil, pref * wave)
+    values = terms[0] + terms[1] + terms[2]
+    entries = [
+        PartialXS(n=n, value=value, terms=XSTerms(*t), alpha1=a1, q2=q2)
+        for n, value, *t, a1, q2 in zip(block.n, values, *terms,
+                                       block.alpha1.tolist(), block.q2.tolist())
+    ]
+    return entries, d
 
 
 def partial_xs_general(scenario, n):
     """Authoritative evaluation path, any polarization zeta in [0, 1]: the
-    one-channel call of partial_xs_general_batch."""
-    return partial_xs_general_batch(scenario, [scenario.channel(n)])[0]
+    one-channel call of partial_xs_general_block."""
+    block, closed = scenario.channels([n])
+    if closed is not None:
+        raise closed
+    return partial_xs_general_block(scenario, block)[0][0]
 
 
 def partial_xs_circular(scenario, n):
@@ -230,7 +316,7 @@ def partial_xs_circular(scenario, n):
     omega = laser.omega
     a1, t1 = channel.alpha1, channel.theta1
     q2 = channel.q2
-    pref = _prefactor_au(scenario, dressed, channel)
+    pref = _channel_prefactor_au(scenario, dressed, channel)
 
     if a1 == 0.0:
         if n != 0:
@@ -302,7 +388,7 @@ def partial_xs_linear(scenario, n):
         -(0.5 + n / (4.0 * v)) * jn**2 + i_n**2 + u / (4.0 * v) * jn * i_n
     )
 
-    pref = _prefactor_au(scenario, dressed, channel)
+    pref = _channel_prefactor_au(scenario, dressed, channel)
     return PartialXS.from_terms(n, channel.alpha1, q2, main, recoil, wave, pref)
 
 

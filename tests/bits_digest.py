@@ -10,9 +10,14 @@ collect this file (its name does not start with test_).
 
 --dump PATH also writes one tab-separated line per digested value: its
 key (scenario index, call, n, field) and its repr.  --compare A B reads
-two dumps and prints how many values differ, and the largest |delta|
+two dumps and matches their values by key, so a channel added to or
+removed from an envelope moves no other line.  It prints how many values
+moved, how many keys were added and removed, and how many values changed
+their repr alone (np.float64(x) against x, same bits); then the largest
+|delta| of a moved value and the largest removed entry value, each
 divided by the peak of that scenario's general auto envelope (read from
-A), with its key: the measure of a change that means to move bits.
+A), with its key: the measures of a change that means to move bits or
+the channel set.
 
 The set, over random_scenarios(7, 40) without its K = 0.8, 60 mrad draws:
 - the general auto envelope;
@@ -33,7 +38,6 @@ message.
 
 import argparse
 import hashlib
-import itertools
 import math
 from dataclasses import replace
 
@@ -154,48 +158,83 @@ def digest(dump=None):
 
 
 def _number(text):
-    """The number a repr shows (np.float64(x) as x); NaN for the type or
-    message of an error."""
+    """The number a repr shows (np.float64(x) as x), or None for the type
+    or message of an error."""
     if text.startswith("np.") and text.endswith(")"):
         text = text[text.index("(") + 1:-1]
     try:
         return float(text)
     except ValueError:
-        return math.nan
+        return None
+
+
+def _read(path):
+    """{(scenario, call, n, field): repr} of a dump; a key appears once."""
+    values = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            *key, text = line.rstrip("\n").split("\t")
+            key = tuple(key)
+            if key in values:
+                raise ValueError(f"{path}: key {key} appears twice")
+            values[key] = text
+    return values
 
 
 def compare(path_a, path_b):
-    """(values compared, values that differ, largest |delta| / peak, its
-    key); a key or value present in one dump alone differs, and a delta
-    that is not finite counts as infinite."""
+    """Compare two dumps key by key, (scenario, call, n, field).
+
+    Returns a dict: `compared`, the keys in both; `moved`, keys whose value
+    differs (a number with other bits, or other error text); `repr_only`,
+    keys whose repr differs but not the number's bits (np.float64(x)
+    against x); `added` and `removed`, keys in B alone and in A alone; and
+    `worst_moved` and `worst_removed`, each (ratio, key) or (0.0, None):
+    the largest |delta| of a moved value, and the largest removed entry
+    value, over the peak of that scenario's general auto envelope (read
+    from A).  A delta that is not a finite number counts as infinite.
+    """
+    a, b = _read(path_a), _read(path_b)
     peaks = {}
-    worst = {}  # scenario -> (largest |delta|, its key)
-    total = differ = 0
-    with open(path_a, encoding="utf-8") as fa, \
-            open(path_b, encoding="utf-8") as fb:
-        for line_a, line_b in itertools.zip_longest(fa, fb, fillvalue=""):
-            total += 1
-            *key_a, text_a = line_a.rstrip("\n").split("\t")
-            *key_b, text_b = line_b.rstrip("\n").split("\t")
-            if key_a and key_a[1] == PEAK_CALL and key_a[3] == "value":
-                peaks[key_a[0]] = max(peaks.get(key_a[0], 0.0),
-                                      _number(text_a))
-            if (key_a, text_a) == (key_b, text_b):
-                continue
-            differ += 1
-            key = key_a or key_b
-            delta = abs(_number(text_a) - _number(text_b))
-            if key_a != key_b or not math.isfinite(delta):
-                delta = math.inf
-            if key[0] not in worst or delta > worst[key[0]][0]:
-                worst[key[0]] = (delta, key)
-    ratio, where = 0.0, None
-    for scenario, (delta, key) in worst.items():
-        peak = peaks.get(scenario, 0.0)
-        scaled = delta / peak if peak > 0.0 else math.inf
-        if where is None or scaled > ratio:
-            ratio, where = scaled, key
-    return total, differ, ratio, where
+    for key, text in a.items():
+        if key[1] == PEAK_CALL and key[3] == "value":
+            peaks[key[0]] = max(peaks.get(key[0], 0.0), _number(text))
+
+    def worse(worst, key, size):
+        """worst, or (size over its peak, key) when that is larger."""
+        peak = peaks.get(key[0], 0.0)
+        if size == 0.0:
+            ratio = 0.0
+        elif peak > 0.0 and math.isfinite(size):
+            ratio = size / peak
+        else:
+            ratio = math.inf
+        return (ratio, key) if worst[1] is None or ratio > worst[0] else worst
+
+    out = {"compared": 0, "moved": 0, "repr_only": 0,
+           "added": sum(key not in a for key in b), "removed": 0,
+           "worst_moved": (0.0, None), "worst_removed": (0.0, None)}
+    for key, text_a in a.items():
+        if key not in b:
+            out["removed"] += 1
+            if key[3] == "value":
+                value = _number(text_a)
+                out["worst_removed"] = worse(
+                    out["worst_removed"], key,
+                    math.inf if value is None else abs(value))
+            continue
+        out["compared"] += 1
+        text_b = b[key]
+        if text_a == text_b:
+            continue
+        x, y = _number(text_a), _number(text_b)
+        if x is not None and y is not None and x.hex() == y.hex():
+            out["repr_only"] += 1
+            continue
+        out["moved"] += 1
+        delta = math.inf if x is None or y is None else abs(x - y)
+        out["worst_moved"] = worse(out["worst_moved"], key,
+                                   delta if math.isfinite(delta) else math.inf)
+    return out
 
 
 def main():
@@ -206,10 +245,15 @@ def main():
                     help="compare two dumps instead of digesting")
     args = ap.parse_args()
     if args.compare:
-        total, differ, ratio, where = compare(*args.compare)
-        print(f"{differ} of {total} values differ")
-        key = "" if where is None else " at " + " ".join(where)
-        print(f"largest |delta| / envelope peak: {ratio!r}{key}")
+        c = compare(*args.compare)
+        print(f"{c['moved']} of {c['compared']} values moved; "
+              f"{c['added']} keys added, {c['removed']} removed; "
+              f"{c['repr_only']} repr-only changes")
+        for name, what in (("worst_moved", "|delta|"),
+                           ("worst_removed", "removed value")):
+            ratio, key = c[name]
+            where = "" if key is None else " at " + " ".join(key)
+            print(f"largest {what} / envelope peak: {ratio!r}{where}")
         return
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:

@@ -288,6 +288,21 @@ def test_direction_at_any_scale(tmp_path, capsys, direction):
     assert out == (HERE / "golden" / "total.txt").read_text()
 
 
+@pytest.mark.parametrize("deflection_mrad", [0.0, 1e-83])
+def test_final_light_cone_product_rounding_to_zero_exits_3(tmp_path, capsys,
+                                                          deflection_mrad):
+    # along k at this intensity k.Pi' = omega (Pi0' - Pi'_z) rounds to 0;
+    # the channel block carries Z' = inf on to a typed refusal
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg["laser"]["intensity_W_cm2"] = 1e131
+    cfg["geometry"]["deflection_mrad"] = deflection_mrad
+    path = tmp_path / "light_cone.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, ["total", "--config", str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: u must be finite")
+
+
 def _mrad_leaving(bound, toward):
     """The first deflection_mrad from `bound` toward `toward` whose radian
     value mrad * 1e-3 (what the Scenario gets) lies outside [0, pi]."""
@@ -532,6 +547,21 @@ def test_ksweep_csv(capsys, cfg_path):
     assert rows[0] == "K,total_au"
     assert len(rows) == 4
     assert [float(r.split(",")[0]) for r in rows[1:]] == [0.1, 0.3, 0.5]
+
+
+def test_envelope_table_range_error_exit_3(tmp_path, capsys):
+    # fig1a on a table that ends at 0.05 a.u.: a channel of the envelope's
+    # first block leaves it (the library side is in test_scan)
+    table = write_screened_table(tmp_path / "short.tab", n=50,
+                                 q_range=(0.005, 0.05))
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg["potential"] = {"table_path": str(table)}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, ["envelope", "--config", str(path)])
+    assert (code, out) == (3, "")
+    assert err == ("domain error: |q| = 189.72595114733295 eV outside table "
+                   "range [18.644697514847905, 186.44697514847905] eV\n")
 
 
 def test_ksweep_reports_per_point_errors(tmp_path, capsys):

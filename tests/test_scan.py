@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sbxs.scan as scan
 from conftest import make_scenario, write_screened_table
@@ -300,11 +302,66 @@ def test_envelope_independent_of_block_size(pot_fig, fig1a, kw, monkeypatch):
 
 
 def test_fig1a_envelope_sweeps_in_blocks(fig1a, sweeps):
-    # a fallback to one Miller row per channel would run ~70 sweeps here
+    # a fallback to one Miller row per channel would run ~70 sweeps here;
+    # the center is one scalar row, and the first block of both sides,
+    # which reaches every channel of fig1a, is one sweep
     env = envelope(fig1a)
     assert len(env.entries) == 69
-    assert sweeps["batched"] >= 2
-    assert sweeps["scalar"] + sweeps["batched"] <= 6
+    assert sweeps == {"batched": 1, "scalar": 1}
+
+
+def test_fig1a_k_sweep_sweeps_once_per_first_block(fig1a, sweeps):
+    # 9 envelopes: one shared first block each, and 2 extension blocks
+    # (one sweep per side per block would make 20)
+    k_sweep(fig1a, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    assert sweeps["batched"] <= 11
+
+
+def test_envelope_table_range_error_comes_from_the_first_block(tmp_path, fig1a):
+    # the first channel of the shared first block (+n before -n) whose |q|
+    # leaves the table raises; the center n = 0 lies inside it
+    path = write_screened_table(tmp_path / "short.tab", n=50,
+                                q_range=(0.005, 0.05))
+    s = dataclasses.replace(fig1a, potential=PotentialFT.from_table(path))
+    assert partial(s, 0).value > 0.0
+    with pytest.raises(DomainError) as exc:
+        envelope(s)
+    assert str(exc.value) == (
+        "|q| = 189.72595114733295 eV outside table range "
+        "[18.644697514847905, 186.44697514847905] eV")
+
+
+# ---------------------------------------------------------------------------
+# lanes of a block: each is its one-channel evaluation, bit for bit
+# ---------------------------------------------------------------------------
+
+def _typed_bits(px):
+    """(type, float.hex) of every field of a PartialXS."""
+    t = px.terms
+    fields = (px.value, t.main_energy, t.recoil, t.wave_pressure, px.alpha1,
+              px.q2)
+    return ((type(px.n), px.n),
+            *((type(x), float.hex(float(x))) for x in fields))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(zeta=st.floats(0.0, 1.0), K=st.floats(0.01, 0.9),
+       cos_polar=st.floats(-1.0, 1.0), azimuth=st.floats(0.0, 2.0 * math.pi),
+       deflection_mrad=st.floats(0.3, 30.0), n_min=st.integers(-40, 40),
+       count=st.integers(1, 17))
+def test_block_lanes_equal_single_channels(pot_fig, zeta, K, cos_polar,
+                                           azimuth, deflection_mrad, n_min,
+                                           count):
+    # a numpy loop whose tail lanes round differently would show here
+    sin_polar = math.sqrt(1.0 - cos_polar**2)
+    direction = (sin_polar * math.cos(azimuth), sin_polar * math.sin(azimuth),
+                 cos_polar)
+    s = make_scenario(pot_fig, K=K, zeta=zeta, direction=direction,
+                      deflection_mrad=deflection_mrad, azimuth=azimuth)
+    env = envelope(s, n_range=(n_min, n_min + count - 1))
+    assert [px.n for px in env.entries] == list(range(n_min, n_min + count))
+    for px in env.entries:
+        assert _typed_bits(px) == _typed_bits(partial(s, px.n)), px.n
 
 
 @pytest.mark.parametrize("tail_cut", [0.0, -1.0, 1.0, 2.0, math.nan])
