@@ -329,11 +329,13 @@ def _bits(values):
 
 
 def test_jn_rows_equal_jn_row_lane_by_lane(sweeps):
-    # x = 1e-5 and 1e-3 rescale on the way down; 0 and x < 1e-6 take the
-    # scalar branches; 1000 and 5000 are long rows; nmax differs per lane
+    # x = 1e-5, 1e-3 and _TINY_ARG rescale on the way down (x = 1e-5 at
+    # nmax 300 crosses _BIG 32 times); 0 and x < 1e-6 take the scalar
+    # branches; 1000 and 5000 are long rows; nmax differs per lane
     rng = np.random.default_rng(41)
-    xs = [1.0e-5, 1.0e-3, 0.0, 5.0e-7, 1000.0, 5000.0, 3.0, 17.5]
-    nmaxs = [30, 25, 5, 10, 1100, 20, 60, 3]
+    xs = [1.0e-5, 1.0e-3, 0.0, 5.0e-7, 1000.0, 5000.0, 3.0, 17.5,
+          gb._TINY_ARG, 1.0e-5]
+    nmaxs = [30, 25, 5, 10, 1100, 20, 60, 3, 40, 300]
     xs += [float(x) for x in rng.uniform(0.0, 300.0, 2 * gb._BATCH_MIN)]
     nmaxs += [int(m) for m in rng.integers(0, 400, 2 * gb._BATCH_MIN)]
     windows = []
@@ -347,6 +349,41 @@ def test_jn_rows_equal_jn_row_lane_by_lane(sweeps):
         ref = gb._jn_row(x, nmax)
         assert _bits(row) == _bits(ref), (x, nmax)
         assert _bits(part) == _bits(ref[lo:hi + 1]), (x, nmax, lo, hi)
+
+
+def test_sweep_rescales_like_jn_row():
+    # every lane crosses _BIG several times: 37, 32, 13 (x = _MAX_ARG, on
+    # the way down to its turning point) and 8; 1e100 squared stays finite
+    # in the np.dot screen, and no step overflows
+    xs = [gb._TINY_ARG, 1.0e-5, gb._MAX_ARG, 0.5]
+    nmaxs = [300, 300, 110000, 200]
+    windows = [(0, 300), (250, 300), (99000, 110000), (0, 200)]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        lanes = gb._sweep(xs, nmaxs, windows)
+        for x, nmax, (lo, hi), lane in zip(xs, nmaxs, windows, lanes):
+            ref = gb._jn_row(x, nmax)
+            assert _bits(lane) == _bits(ref[lo:hi + 1]), (x, nmax)
+            assert np.all(np.isfinite(ref))
+
+
+def test_jn_row_against_mpmath():
+    # 30-digit mpmath values at orders 0, next to x, the top order and the
+    # smallest |J_m| below x (next to a zero); float64 rows measured up to
+    # 1.9e-14 of the row's max |J| at x = 1064
+    import mpmath
+    xs = [5.8, 145.0, 1064.0, 8730.0]
+    nmaxs = [gb._series_cuts(x, 0.0)[1] for x in xs]
+    lanes = gb._sweep(xs, nmaxs, [(0, nmax) for nmax in nmaxs])
+    with mpmath.workdps(30):
+        for x, nmax, lane in zip(xs, nmaxs, lanes):
+            row = gb._jn_row(x, nmax)
+            assert _bits(lane) == _bits(row)
+            peak = np.max(np.abs(row))
+            below = int(x)
+            zero = int(np.argmin(np.abs(row[:below])))
+            for m in sorted({0, below, below + 1, nmax, zero}):
+                ref = mpmath.besselj(m, mpmath.mpf(x), maxprec=40000)
+                assert abs(row[m] - float(ref)) <= 1e-13 * peak, (x, m)
 
 
 def _specs(rng, count):
