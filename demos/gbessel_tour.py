@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from sbxs import bessel_j, gbessel, gbessel_quad, gbessel_row
+from sbxs.gbessel import bessel_j, gbessel, gbessel_quad, gbessel_row
 
 n, u, v, delta = 7, 12.5, 3.2, 0.9
 print(f"working point: n={n}, u={u}, v={v}, delta={delta}\n")

@@ -7,74 +7,31 @@ Library layout:
                     quadrature oracle
     kinematics   -- laser geometry, dressed states, channel kinematics
     potential    -- Fourier transforms of the scattering potential
-    xsection     -- D-functions and the closed-form partial cross sections
+    xsection     -- D-functions, the general partial cross section, the
+                    elastic and nonrelativistic references
     dirac_oracle -- independent gamma-matrix / spinor-sum validation path
     scan         -- envelopes over photon number, totals, intensity sweeps
     cli          -- command-line front end (`sbxs ...`)
+
+The package exports the calls of README's quick start and demos, the
+library calls behind the CLI's `partial`, `total` and `elastic`, and the
+errors behind its exit codes 2-4.  Everything else is imported from its
+module (`from sbxs.gbessel import gbessel`); no exported name shadows a
+module.
 """
 
-from .errors import (
-    ChannelClosedError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    LinearPathUnstableError,
-    OracleInconsistencyError,
-)
-from .gbessel import (
-    GBesselRow,
-    bessel_j,
-    gbessel,
-    gbessel_quad,
-    gbessel_row,
-)
-from .kinematics import (
-    Channel,
-    DressedState,
-    FourVector,
-    LaserField,
-    alpha_theta,
-    deflection_frame,
-    dress,
-    open_channel,
-)
-from .potential import PotentialFT, u_tilde
-from .scan import Envelope, KPoint, envelope, k_sweep, oracle_deviation_sweep, total_xs
-from .units import (
-    K_to_intensity,
-    intensity_to_K,
-    xs_from_atomic_units,
-    xs_to_atomic_units,
-)
-from .xsection import (
-    DFunctions,
-    PartialXS,
-    Scenario,
-    XSTerms,
-    d_functions,
-    elastic_born,
-    partial_xs_circular,
-    partial_xs_general,
-    partial_xs_linear,
-    partial_xs_nonrel,
-)
-from .dirac_oracle import amplitude_matrix, slash, spinor, xs_oracle
+from .errors import ChannelClosedError, ConfigError, ConvergenceError, DomainError
+from .kinematics import LaserField
+from .potential import PotentialFT
+from .scan import envelope, k_sweep, total_xs
+from .units import K_to_intensity, intensity_to_K
+from .xsection import Scenario, elastic_born, partial_xs_general
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "bessel_j", "gbessel", "gbessel_quad", "gbessel_row", "GBesselRow",
-    "FourVector", "LaserField", "DressedState", "Channel",
-    "dress", "alpha_theta", "deflection_frame", "open_channel",
-    "PotentialFT", "u_tilde",
-    "Scenario", "DFunctions", "PartialXS", "XSTerms", "d_functions",
-    "partial_xs_general", "partial_xs_circular", "partial_xs_linear",
-    "partial_xs_nonrel", "elastic_born",
-    "amplitude_matrix", "slash", "spinor", "xs_oracle",
-    "Envelope", "KPoint", "envelope", "total_xs", "k_sweep",
-    "oracle_deviation_sweep",
+    "LaserField", "PotentialFT", "Scenario",
+    "envelope", "total_xs", "k_sweep", "partial_xs_general", "elastic_born",
     "intensity_to_K", "K_to_intensity",
-    "xs_to_atomic_units", "xs_from_atomic_units",
-    "DomainError", "ChannelClosedError", "ConvergenceError",
-    "LinearPathUnstableError", "OracleInconsistencyError", "ConfigError",
+    "DomainError", "ChannelClosedError", "ConvergenceError", "ConfigError",
 ]

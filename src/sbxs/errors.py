@@ -19,12 +19,6 @@ class ConvergenceError(RuntimeError):
     """An iterative evaluation failed to reach the requested accuracy."""
 
 
-class LinearPathUnstableError(RuntimeError):
-    """The linear-polarization closed form refuses: |v| below its stability
-    floor. It is a cross-check only; partial_xs_general covers that
-    channel."""
-
-
 class OracleInconsistencyError(RuntimeError):
     """The spinor-sum and trace forms of the oracle disagree; indicates a
     convention bug, never a tolerance issue."""

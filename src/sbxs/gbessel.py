@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, _integer
 
 _MAX_ORDER = 10**6
+# Largest Bessel argument, in bessel_j and in every row: a row of J_m(x)
+# costs O(|x|) recurrence steps.
 _MAX_ARG = 1.0e5
 _ORACLE_SCALE = 1.0e4
 
@@ -198,13 +200,16 @@ def _tail_negligible(n, x):
 def bessel_j(n, x):
     """Ordinary Bessel function J_n(x), integer n, real x.
 
-    _jn_lookup applies the parity in n and in x; cost is O(max(|n|, |x|)).
+    _jn_lookup applies the parity in n and in x; cost is O(max(|n|, |x|)),
+    so |x| must be at most _MAX_ARG, as for gbessel_row.
     """
     n = _integer(n, "Bessel order")
     if abs(n) > _MAX_ORDER:
         raise DomainError(f"|n| <= {_MAX_ORDER} required, got {n}")
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
+    if abs(x) > _MAX_ARG:
+        raise DomainError(f"|x| <= {_MAX_ARG} required, got {x}")
     if _tail_negligible(abs(n), abs(x)):
         return 0.0
     return _jn_lookup(_jn_row(abs(x), abs(n)), np.array([n]), x < 0.0)[0]
@@ -350,23 +355,11 @@ def gbessel_block(specs):
     return out
 
 
-def gbessel_rows(specs):
-    """[gbessel_row(*spec) for spec in specs], spec = (n_min, n_max, u, v,
-    delta), from one gbessel_block call."""
-    specs = [(_integer(a, "n_min"), _integer(b, "n_max"), u, v, d)
-             for a, b, u, v, d in specs]
-    values = gbessel_block(specs)
-    out, start = [], 0
-    for n_min, n_max, *_ in specs:
-        stop = start + n_max - n_min + 1
-        out.append(GBesselRow(n_min, n_max, values[start:stop]))
-        start = stop
-    return out
-
-
 def gbessel_row(n_min, n_max, u, v, delta):
-    """Row of J_n(u, v, D) sharing the ordinary-Bessel tables across n."""
-    return gbessel_rows([(n_min, n_max, u, v, delta)])[0]
+    """Row of J_n(u, v, D) over n_min..n_max: the one-spec call of
+    gbessel_block.  n_min and n_max must be integers, else a DomainError."""
+    n_min, n_max = _integer(n_min, "n_min"), _integer(n_max, "n_max")
+    return GBesselRow(n_min, n_max, gbessel_block([(n_min, n_max, u, v, delta)]))
 
 
 def gbessel(n, u, v, delta):

@@ -291,10 +291,13 @@ def open_channels(dressed, ns, rhat, laser):
     ChannelClosedError of the first closed one, or None).  A channel is
     closed when its final quasienergy falls below the effective mass.
     Every n must be an integer, else a DomainError naming the first that
-    is not.  Every lane gets the bits of the same formulas evaluated on
-    Python floats, so they do not depend on the block around it.  Two steps
-    stay per lane: alpha_theta, whose math.hypot np.hypot does not match,
-    and q^2 by np.dot, which no array form matches.
+    is not.  k.Pi' = omega (Pi0' - Pi'_z) of every open channel must come
+    out finite and > 0, else a DomainError naming the first n where it
+    does not: along KHAT it rounds to 0 at high intensity.  Every lane gets
+    the bits of the same formulas evaluated on Python floats, so they do
+    not depend on the block around it.  Two steps stay per lane:
+    alpha_theta, whose math.hypot np.hypot does not match, and q^2 by
+    np.dot, which no array form matches.
     """
     ns = [_integer(n, "photon number") for n in ns]
     r = _vec(rhat)
@@ -314,8 +317,6 @@ def open_channels(dressed, ns, rhat, laser):
         n_omega, Pi0f = n_omega[~shut], Pi0f[~shut]
 
     # Overflow gives inf (and then nan) with no warning, as on Python floats.
-    # A k.Pi' that rounds to 0 gives Z' = inf, which the Bessel layer then
-    # refuses as a DomainError (Python floats would raise ZeroDivisionError).
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pin2 = float(np.dot(pivec, pivec)) + n_omega * (2.0 * Pi0 + n_omega)
         Pi_n = np.sqrt(_max0(pin2))
@@ -324,6 +325,11 @@ def open_channels(dressed, ns, rhat, laser):
         q = pivec_f - pivec
         q[:, 2] -= n_omega
         kdotpi_f = omega * (Pi0f - pivec_f[:, 2])
+        bad = ~(np.isfinite(kdotpi_f) & (kdotpi_f > 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(f"k.Pi' must be finite and > 0, got {kdotpi_f[i]} "
+                              f"eV^2 at n={ns[i]}")
         Zf = laser.a0bar**2 / (4.0 * kdotpi_f)
         shift = omega * (Zf * (1.0 + zeta**2))
         p_final = np.column_stack((Pi0f - shift, pivec_f[:, 0], pivec_f[:, 1],

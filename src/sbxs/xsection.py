@@ -17,9 +17,10 @@ and evaluates, in natural units,
           + (w^2 q_n^2 - (kvec.q_n)^2) / (kPi kPi')
             * ( |Dvec|^2 - (eAbar0)^2/2 Re D_n D_{2,n}* ) }.
 
-|Dvec|^2 is always computed componentwise from Dvec itself.  The circular
-and linear closed forms are kept as independent cross-check paths; the
-general form above is authoritative everywhere.
+|Dvec|^2 is always computed componentwise from Dvec itself.  This form is
+the one evaluator for every polarization zeta in [0, 1]; the circular and
+linear closed forms, its zeta = 1 and zeta = 0 special cases, live in
+tests/closed_forms.py as cross-checks.
 """
 
 import math
@@ -27,13 +28,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    ChannelClosedError,
-    DomainError,
-    LinearPathUnstableError,
-    _integer,
-)
-from .gbessel import bessel_j, gbessel_block, gbessel_row
+from .errors import ChannelClosedError, DomainError, _integer
+from .gbessel import bessel_j, gbessel_block
+# Nothing here calls gbessel_row: bench/run.py reads it from this module
+# (TRACE_TARGETS and isolated_row) until roadmap item 7 drops that tracer.
+from .gbessel import gbessel_row  # noqa: F401
 from .kinematics import (
     E1,
     E2,
@@ -51,11 +50,6 @@ from .potential import u_tilde
 from .units import ELECTRON_MASS_EV, xs_to_atomic_units
 
 FOUR_PI_SQ = (4.0 * math.pi) ** 2
-
-# Below this |v| the linear closed form refuses (its 1/v factors are
-# removable singularities of the recurrence rearrangement); the general
-# path is authoritative there.
-V_FLOOR = 1.0e-6
 
 VALID_FORMULAS = ("general", "nonrel")
 
@@ -248,12 +242,6 @@ def _prefactor_au(scenario, dressed, Pi_n, q2):
     return xs_to_atomic_units(pref_nat)
 
 
-def _channel_prefactor_au(scenario, dressed, channel):
-    """_prefactor_au of one Channel, as a float."""
-    return float(_prefactor_au(scenario, dressed, np.array([channel.Pi_n]),
-                               np.array([channel.q2]))[0])
-
-
 def partial_xs_general_block(scenario, block):
     """partial_xs_general of every lane of a ChannelBlock of the scenario,
     in order, and the lanes' D-functions (a DFunctionsBlock).
@@ -303,93 +291,6 @@ def partial_xs_general(scenario, n):
     if closed is not None:
         raise closed
     return partial_xs_general_block(scenario, block)[0][0]
-
-
-def partial_xs_circular(scenario, n):
-    """Closed form for zeta = 1, expressed through ordinary J_n and J_n'."""
-    laser = scenario.laser
-    if laser.zeta != 1.0:
-        raise DomainError("circular closed form requires zeta = 1")
-    dressed = scenario.dressed()
-    channel = scenario.channel(n)
-
-    omega = laser.omega
-    a1, t1 = channel.alpha1, channel.theta1
-    q2 = channel.q2
-    pref = _channel_prefactor_au(scenario, dressed, channel)
-
-    if a1 == 0.0:
-        if n != 0:
-            # J_n(0) = 0 for n != 0 (the n = +-1 wave-pressure limit is a
-            # measure-zero configuration; the general path covers it).
-            return PartialXS.from_terms(n, a1, q2, 0.0)
-        jn, jpn, n_over_a1 = 1.0, 0.0, 0.0
-    else:
-        row = gbessel_row(n - 1, n + 1, a1, 0.0, 0.0)
-        jm1, jn, jp1 = (row[m].real for m in range(n - 1, n + 2))
-        jpn = 0.5 * (jm1 - jp1)
-        n_over_a1 = n / a1
-
-    alpha_pi = dressed.alpha_pi
-    rel = t1 - dressed.theta_pi
-    beta2 = channel.beta2
-
-    main = (
-        4.0 * (dressed.Pi.t - omega * alpha_pi * n_over_a1 * math.cos(rel)) ** 2 * jn**2
-        + 4.0 * omega**2 * alpha_pi**2 * math.sin(rel) ** 2 * jpn**2
-    )
-    recoil = -q2 * jn**2
-    wave = beta2 * ((n_over_a1**2 - 1.0) * jn**2 + jpn**2)
-
-    return PartialXS.from_terms(n, a1, q2, main, recoil, wave, pref)
-
-
-def partial_xs_linear(scenario, n):
-    """Closed form for zeta = 0 via the real two-argument function J_n(u, v).
-
-    u is the signed projection eAbar0 * E1.(Pivec'/kPi' - Pivec/kPi) and
-    v = (Z - Z')/2; alpha' keeps the matching signed projection of the
-    initial quasimomentum, which is what makes the form agree with the
-    general path for oblique geometries.  Refuses when |v| falls below the
-    stability floor (raises LinearPathUnstableError).
-    """
-    laser = scenario.laser
-    if laser.zeta != 0.0:
-        raise DomainError("linear closed form requires zeta = 0")
-    dressed = scenario.dressed()
-    channel = scenario.channel(n)
-
-    omega = laser.omega
-    q2 = channel.q2
-    u = laser.a0bar * (channel.p_final.x / channel.kdotp_final
-                       - dressed.p.x / dressed.kdotp)
-    v = 0.5 * (dressed.Z - channel.Z_final)
-    if abs(v) <= V_FLOOR * max(1.0, abs(u)):
-        raise LinearPathUnstableError(
-            f"|v| = {abs(v)} below floor at n={n}; use the general path"
-        )
-
-    row = gbessel_row(n - 1, n + 1, u, v, 0.0)
-    jn = row[n].real
-    i_n = 0.5 * (row[n - 1].real + row[n + 1].real)
-
-    alpha_signed = laser.a0bar * dressed.Pi.x / dressed.kdotp
-    eps36 = 2.0 * dressed.Pi.t + n * omega * dressed.Z / v
-    alpha_pr = alpha_signed + u * dressed.Z / (2.0 * v)
-    beta2 = channel.beta2
-
-    main = (
-        eps36**2 * jn**2
-        + 4.0 * omega**2 * alpha_pr**2 * i_n**2
-        - 4.0 * omega * eps36 * alpha_pr * jn * i_n
-    )
-    recoil = -q2 * jn**2
-    wave = beta2 * (
-        -(0.5 + n / (4.0 * v)) * jn**2 + i_n**2 + u / (4.0 * v) * jn * i_n
-    )
-
-    pref = _channel_prefactor_au(scenario, dressed, channel)
-    return PartialXS.from_terms(n, channel.alpha1, q2, main, recoil, wave, pref)
 
 
 def elastic_born(scenario):

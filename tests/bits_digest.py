@@ -4,9 +4,11 @@ of evaluations returns.
     PYTHONPATH=src python tests/bits_digest.py [--dump PATH]
     PYTHONPATH=src python tests/bits_digest.py --compare A B
 
-prints `<count> <sha256>`.  A change that means to keep every bit runs it
-on the parent and on the change; both lines must match.  pytest does not
-collect this file (its name does not start with test_).
+prints `<count> <sha256>`.  A change that means to keep every bit runs the
+parent's copy of this script on the parent's src and its own copy on its
+own src (the closed forms it digests live beside it, in closed_forms.py);
+both lines must match.  pytest does not collect this file (its name does
+not start with test_).
 
 --dump PATH also writes one tab-separated line per digested value: its
 key (scenario index, call, n, field) and its repr.  --compare A B reads
@@ -41,17 +43,17 @@ import hashlib
 import math
 from dataclasses import replace
 
-from sbxs.dirac_oracle import xs_oracle
-from sbxs.errors import DomainError, LinearPathUnstableError
-from sbxs.kinematics import LaserField
-from sbxs.potential import PotentialFT
-from sbxs.scan import envelope, partial, random_scenarios
-from sbxs.xsection import (
-    Scenario,
-    elastic_born,
+from closed_forms import (
+    LinearPathUnstableError,
     partial_xs_circular,
     partial_xs_linear,
 )
+from sbxs.dirac_oracle import xs_oracle
+from sbxs.errors import DomainError
+from sbxs.kinematics import LaserField
+from sbxs.potential import PotentialFT
+from sbxs.scan import envelope, partial, random_scenarios
+from sbxs.xsection import Scenario, elastic_born
 
 SEED, COUNT = 7, 40
 NS = range(-5, 6)

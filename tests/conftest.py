@@ -1,9 +1,9 @@
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import sbxs.gbessel as gb
 from sbxs.kinematics import LaserField
 from sbxs.potential import PotentialFT
 from sbxs.units import intensity_to_K
@@ -62,7 +62,6 @@ def fig1a(pot_fig, k_fig):
 @pytest.fixture
 def sweeps(monkeypatch):
     """Counts of scalar (_jn_row) and batched (_sweep) Miller sweeps."""
-    gb = importlib.import_module("sbxs.gbessel")  # the package rebinds sbxs.gbessel
     count = {"scalar": 0, "batched": 0}
     for name, key in (("_jn_row", "scalar"), ("_sweep", "batched")):
         def counted(*args, _real=getattr(gb, name), _key=key):

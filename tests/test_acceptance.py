@@ -12,17 +12,20 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import jv
 
+from closed_forms import (
+    LinearPathUnstableError,
+    partial_xs_circular,
+    partial_xs_linear,
+)
 from conftest import make_scenario
 from sbxs.cli import main
-from sbxs.errors import ChannelClosedError, LinearPathUnstableError
+from sbxs.errors import ChannelClosedError
 from sbxs.gbessel import bessel_j, gbessel, gbessel_quad, gbessel_row
 from sbxs.scan import envelope, k_sweep, oracle_deviation_sweep
 from sbxs.units import ELECTRON_MASS_EV, intensity_to_K
 from sbxs.xsection import (
     elastic_born,
-    partial_xs_circular,
     partial_xs_general,
-    partial_xs_linear,
     partial_xs_nonrel,
 )
 

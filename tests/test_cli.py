@@ -292,7 +292,7 @@ def test_direction_at_any_scale(tmp_path, capsys, direction):
 def test_final_light_cone_product_rounding_to_zero_exits_3(tmp_path, capsys,
                                                           deflection_mrad):
     # along k at this intensity k.Pi' = omega (Pi0' - Pi'_z) rounds to 0;
-    # the channel block carries Z' = inf on to a typed refusal
+    # open_channels refuses it and names it
     cfg = json.loads(json.dumps(FIG1A))
     cfg["laser"]["intensity_W_cm2"] = 1e131
     cfg["geometry"]["deflection_mrad"] = deflection_mrad
@@ -300,7 +300,21 @@ def test_final_light_cone_product_rounding_to_zero_exits_3(tmp_path, capsys,
     path.write_text(json.dumps(cfg))
     code, out, err = _run(capsys, ["total", "--config", str(path)])
     assert (code, out) == (3, "")
-    assert err.startswith("domain error: u must be finite")
+    assert err.startswith("domain error: k.Pi' must be finite and > 0, got ")
+
+
+def test_nonrel_bessel_argument_past_its_bound_exits_3(tmp_path, capsys):
+    # at K = 1e7 the dipole reference's J_0 argument passes gbessel._MAX_ARG;
+    # bessel_j refuses it at once instead of running O(x) recurrence steps
+    cfg = json.loads(json.dumps(FIG1A))
+    del cfg["laser"]["intensity_W_cm2"]
+    cfg["laser"]["K"] = 1e7
+    cfg["run"]["formula"] = "nonrel"
+    path = tmp_path / "nonrel_strong.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, ["partial", "--config", str(path), "--n", "0"])
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: |x| <= 100000.0 required, got ")
 
 
 def _mrad_leaving(bound, toward):

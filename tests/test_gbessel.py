@@ -1,18 +1,13 @@
 import cmath
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import sbxs.gbessel as gb
 from sbxs.errors import ConvergenceError, DomainError
-from sbxs.gbessel import (
-    bessel_j,
-    gbessel,
-    gbessel_quad,
-    gbessel_row,
-    gbessel_rows,
-)
+from sbxs.gbessel import bessel_j, gbessel, gbessel_quad, gbessel_row
+from sbxs.scan import MARGIN_FACTOR
 
 # Frozen from the quadrature oracle (cross-checked at 30 digits during
 # development); the oracle itself is exercised against the series below.
@@ -61,6 +56,10 @@ def test_bessel_j_rejects_nonfinite():
         bessel_j(2, math.inf)
     with pytest.raises(DomainError):
         bessel_j(10**7, 1.0)
+    # past _MAX_ARG, as in every row (the row would cost O(|x|) steps)
+    for x in (math.nextafter(gb._MAX_ARG, math.inf), -1.0e7):
+        with pytest.raises(DomainError, match=r"\|x\| <= 100000.0 required"):
+            bessel_j(0, x)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +157,16 @@ def test_orders_must_be_integers(bad):
     with pytest.raises(DomainError, match="order must be an integer"):
         gbessel_quad(bad, 1.0, 0.5, 0.0)
     with pytest.raises(DomainError, match="n_min must be an integer"):
-        gbessel_rows([(bad, 3, 1.0, 0.5, 0.0)])
+        gbessel_row(bad, 3, 1.0, 0.5, 0.0)
     with pytest.raises(DomainError, match="n_max must be an integer"):
-        gbessel_rows([(-3, bad, 1.0, 0.5, 0.0)])
+        gbessel_row(-3, bad, 1.0, 0.5, 0.0)
 
 
 def test_integral_orders_match_int():
     for n in (2.0, np.int64(2)):
         assert bessel_j(n, 1.0) == bessel_j(2, 1.0)
         assert gbessel_quad(n, 1.0, 0.5, 0.3) == gbessel_quad(2, 1.0, 0.5, 0.3)
-        (row,) = gbessel_rows([(n, 3, 1.0, 0.5, 0.3)])
+        row = gbessel_row(n, 3, 1.0, 0.5, 0.3)
         assert row.n_min == 2 and row[2] == gbessel(2, 1.0, 0.5, 0.3)
 
 
@@ -289,6 +288,27 @@ def test_parseval(u, v, delta):
     assert abs(np.sum(np.abs(row.values) ** 2) - 1.0) < 1e-10
 
 
+def test_moment_sum_rules():
+    # J_n(u, v, D) are the Fourier coefficients of exp(i phi(theta)) with
+    # phi = u sin(theta + D) + v sin 2 theta, so sum |J_n|^2 = 1, sum n |J_n|^2
+    # = mean phi' = 0 and sum n^2 |J_n|^2 = mean phi'^2 = u^2/2 + 2 v^2.
+    # Each row spans |u| + 2|v| plus the Bessel-support margin; every fourth
+    # draw has v = 0.
+    rng = np.random.default_rng(53)
+    for i in range(16):
+        u = float(rng.uniform(-600.0, 600.0))
+        v = 0.0 if i % 4 == 0 else float(rng.uniform(-150.0, 150.0))
+        delta = float(rng.uniform(-math.pi, math.pi))
+        a = abs(u) + 2.0 * abs(v)
+        span = int(math.ceil(a + MARGIN_FACTOR * (a ** (1.0 / 3.0) + 1.0)))
+        weight = np.abs(gbessel_row(-span, span, u, v, delta).values) ** 2
+        n = np.arange(-span, span + 1, dtype=float)
+        second = 0.5 * u * u + 2.0 * v * v
+        assert abs(np.sum(weight) - 1.0) < 1e-13, (u, v, delta)
+        assert abs(np.sum(n * weight)) < 1e-13 * math.sqrt(second), (u, v, delta)
+        assert abs(np.sum(n * n * weight) - second) < 1e-13 * second, (u, v, delta)
+
+
 def test_unimodular_bound():
     # |J_n(u,v,D)| <= 1: Fourier coefficient of a unimodular function; at
     # D = 0 the integrand is symmetric under theta -> -theta, so J is real.
@@ -320,9 +340,6 @@ def test_series_vs_quadrature_randomized():
 # ---------------------------------------------------------------------------
 # lane-batched rows: bit for bit the scalar ones
 # ---------------------------------------------------------------------------
-
-gb = importlib.import_module("sbxs.gbessel")  # the package rebinds sbxs.gbessel
-
 
 def _bits(values):
     return np.asarray(values).tobytes()
@@ -399,14 +416,20 @@ def _specs(rng, count):
     return specs
 
 
-def test_gbessel_rows_equal_gbessel_row(sweeps):
+def test_gbessel_block_equals_gbessel_row(sweeps):
+    # one block of many specs runs one batched sweep, and each spec's slice
+    # of it has the bits of that spec's own row
     specs = _specs(np.random.default_rng(43), 3 * gb._BATCH_MIN)
-    rows = gb.gbessel_rows(specs)
+    values = gb.gbessel_block(specs)
     assert sweeps == {"scalar": 0, "batched": 1}
-    for spec, row in zip(specs, rows):
+    start = 0
+    for spec in specs:
         ref = gbessel_row(*spec)
-        assert (row.n_min, row.n_max) == (ref.n_min, ref.n_max)
-        assert _bits(row.values) == _bits(ref.values), spec
+        assert (ref.n_min, ref.n_max) == spec[:2]
+        stop = start + ref.values.size
+        assert _bits(values[start:stop]) == _bits(ref.values), spec
+        start = stop
+    assert start == values.size
 
 
 def test_v0_shortcut_equals_k_window_sum():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sbxs.scan as scan
+from closed_forms import partial_xs_circular, partial_xs_linear
 from conftest import make_scenario, write_screened_table
 from sbxs.dirac_oracle import xs_oracle
 from sbxs.errors import ChannelClosedError, DomainError
@@ -19,9 +20,7 @@ from sbxs.scan import (
 )
 from sbxs.xsection import (
     elastic_born,
-    partial_xs_circular,
     partial_xs_general,
-    partial_xs_linear,
     partial_xs_nonrel,
 )
 

@@ -6,16 +6,19 @@ import pytest
 
 import sbxs.kinematics as kinematics
 import sbxs.xsection as xsection
+from closed_forms import (
+    LinearPathUnstableError,
+    partial_xs_circular,
+    partial_xs_linear,
+)
 from conftest import make_scenario
-from sbxs.errors import ChannelClosedError, DomainError, LinearPathUnstableError
+from sbxs.errors import ChannelClosedError, DomainError
 from sbxs.scan import envelope
 from sbxs.units import ELECTRON_MASS_EV, FINE_STRUCTURE
 from sbxs.xsection import (
     d_functions,
     elastic_born,
-    partial_xs_circular,
     partial_xs_general,
-    partial_xs_linear,
     partial_xs_nonrel,
 )
 
