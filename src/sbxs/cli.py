@@ -79,6 +79,8 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
 
 
 def _typed(cfg):
@@ -341,8 +343,15 @@ def _tick_label(v):
     return f"{v:g}"
 
 
+def _escape(text):
+    """text as XML character data: xml.sax.saxutils.escape, whose import
+    pulls in urllib.request and adds about 7 MB to every run's RSS."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(xs, ys, xlabel, ylabel, title, logy=False):
-    """Minimal deterministic line plot (no external dependencies)."""
+    """Minimal deterministic line plot (no external dependencies).  The
+    title and the axis labels are escaped as XML text."""
     pts = [(x, y) for x, y in zip(xs, ys)
            if math.isfinite(x) and math.isfinite(y) and (not logy or y > 0.0)]
     if not pts:
@@ -375,7 +384,7 @@ def render_svg(xs, ys, xlabel, ylabel, title, logy=False):
     out.append(f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>')
     out.append(
         f'<text x="{_SVG_W // 2}" y="24" text-anchor="middle" '
-        f'font-family="monospace" font-size="15">{title}</text>'
+        f'font-family="monospace" font-size="15">{_escape(title)}</text>'
     )
     axis = (f'M {_ML} {_MT} L {_ML} {_MT + ih} L {_ML + iw} {_MT + ih}')
     out.append(f'<path d="{axis}" stroke="black" fill="none" stroke-width="1"/>')
@@ -409,12 +418,12 @@ def render_svg(xs, ys, xlabel, ylabel, title, logy=False):
         )
     out.append(
         f'<text x="{_ML + iw // 2}" y="{_SVG_H - 18}" text-anchor="middle" '
-        f'font-family="monospace" font-size="13">{xlabel}</text>'
+        f'font-family="monospace" font-size="13">{_escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="22" y="{_MT + ih // 2}" text-anchor="middle" '
         f'font-family="monospace" font-size="13" '
-        f'transform="rotate(-90 22 {_MT + ih // 2})">{ylabel}</text>'
+        f'transform="rotate(-90 22 {_MT + ih // 2})">{_escape(ylabel)}</text>'
     )
     path = " ".join(
         f"{'M' if i == 0 else 'L'} {sx(x):.2f} {sy(y):.2f}"

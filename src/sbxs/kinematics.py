@@ -185,15 +185,20 @@ def alpha_theta(rho, laser):
     alpha = e*Abar0 * sqrt((rho.E1)^2 + zeta^2 (rho.E2)^2); theta is the
     quadrant-resolved angle of (rho.E1, zeta*rho.E2), fixed to 0 when alpha
     vanishes (every theta-dependent term then carries a factor alpha).
-    rho.E1 = rho[0], rho.E2 = rho[1] + 0.0: a -0.0 there becomes +0.0, so
-    theta is pi, not -pi, on the negative rho.E1 axis.
+    rho.E1 = rho[..., 0], rho.E2 = rho[..., 1] + 0.0: a -0.0 there becomes
+    +0.0, so theta is pi, not -pi, on the negative rho.E1 axis.  rho is one
+    3-vector (floats returned) or an (N, 3) array (arrays returned, row by
+    row).
     """
-    c1 = float(rho[0])
-    c2 = laser.zeta * (float(rho[1]) + 0.0)
-    alpha = laser.a0bar * math.hypot(c1, c2)
-    if alpha == 0.0:
-        return 0.0, 0.0
-    return alpha, math.atan2(c2, c1)
+    rho = _vec(rho)
+    c1 = rho[..., 0]
+    c2 = laser.zeta * (rho[..., 1] + 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = laser.a0bar * np.hypot(c1, c2)
+    theta = np.where(alpha == 0.0, 0.0, np.arctan2(c2, c1))
+    if rho.ndim == 1:
+        return float(alpha), float(theta)
+    return alpha, theta
 
 
 def _frame_rhat(axis_hat, deflection, azimuth):
@@ -278,12 +283,6 @@ class ChannelBlock:
         )
 
 
-def _max0(x):
-    """Python's max(x, 0.0) lane by lane: x unless 0.0 > x, so -0.0 and NaN
-    pass through (np.maximum turns -0.0 into 0.0)."""
-    return np.where(0.0 > x, 0.0, x)
-
-
 def open_channels(dressed, ns, rhat, laser):
     """Kinematics of the channels ns exchanging n photons in direction rhat.
 
@@ -293,11 +292,8 @@ def open_channels(dressed, ns, rhat, laser):
     Every n must be an integer, else a DomainError naming the first that
     is not.  k.Pi' = omega (Pi0' - Pi'_z) of every open channel must come
     out finite and > 0, else a DomainError naming the first n where it
-    does not: along KHAT it rounds to 0 at high intensity.  Every lane gets
-    the bits of the same formulas evaluated on Python floats, so they do
-    not depend on the block around it.  Two steps stay per lane:
-    alpha_theta, whose math.hypot np.hypot does not match, and q^2 by
-    np.dot, which no array form matches.
+    does not: along KHAT it rounds to 0 at high intensity.  Each lane is
+    computed elementwise, so its bits do not depend on the block around it.
     """
     ns = [_integer(n, "photon number") for n in ns]
     r = _vec(rhat)
@@ -316,10 +312,10 @@ def open_channels(dressed, ns, rhat, laser):
         ns = [n for n, s in zip(ns, shut.tolist()) if not s]
         n_omega, Pi0f = n_omega[~shut], Pi0f[~shut]
 
-    # Overflow gives inf (and then nan) with no warning, as on Python floats.
+    # Overflow gives inf (and then nan) with no warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pin2 = float(np.dot(pivec, pivec)) + n_omega * (2.0 * Pi0 + n_omega)
-        Pi_n = np.sqrt(_max0(pin2))
+        Pi_n = np.sqrt(np.maximum(pin2, 0.0))
 
         pivec_f = Pi_n[:, None] * r
         q = pivec_f - pivec
@@ -337,13 +333,11 @@ def open_channels(dressed, ns, rhat, laser):
 
         kdotpi = dressed.kdotp  # k.Pi = k.p exactly (k^2 = 0)
         rho = pivec_f / kdotpi_f[:, None] - pivec / kdotpi
-        a1t1 = [alpha_theta(lane, laser) for lane in rho.tolist()]
-        alpha1 = np.array([a for a, _ in a1t1])
-        theta1 = np.array([t for _, t in a1t1])
+        alpha1, theta1 = alpha_theta(rho, laser)
         alpha2 = 0.5 * (Zf - dressed.Z) * (1.0 - zeta**2)
 
-        q2 = np.array([float(np.dot(lane, lane)) for lane in q])
-        q_perp2 = _max0(q2 - np.float_power(q[:, 2], 2.0))
+        q2 = (q * q).sum(axis=1)
+        q_perp2 = np.maximum(q2 - q[:, 2] ** 2, 0.0)
         beta2 = laser.a0bar**2 * omega**2 * q_perp2 / (kdotpi * kdotpi_f)
 
     return ChannelBlock(

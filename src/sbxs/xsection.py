@@ -118,20 +118,17 @@ class DFunctions:
 @dataclass(frozen=True, eq=False)
 class DFunctionsBlock:
     """The DFunctions of every lane of a block: D_n, D_{1,n}(theta(p)) and
-    D_{2,n} as (real part, imaginary part) pairs of arrays, Dvec of shape
-    (N, 3) and |Dvec|^2."""
+    D_{2,n} as complex arrays, Dvec of shape (N, 3) and |Dvec|^2."""
 
-    d_n: tuple
-    d1n_p: tuple
-    d2n: tuple
+    d_n: np.ndarray
+    d1n_p: np.ndarray
+    d2n: np.ndarray
     dvec: np.ndarray
     dvec_abs2: np.ndarray
 
     def lane(self, i):
-        def at(parts):
-            return np.complex128(complex(parts[0][i], parts[1][i]))
-        return DFunctions(d_n=at(self.d_n), d1n_p=at(self.d1n_p),
-                          d2n=at(self.d2n), dvec=self.dvec[i],
+        return DFunctions(d_n=self.d_n[i], d1n_p=self.d1n_p[i],
+                          d2n=self.d2n[i], dvec=self.dvec[i],
                           dvec_abs2=float(self.dvec_abs2[i]))
 
 
@@ -154,75 +151,32 @@ class PartialXS:
     alpha1: float
     q2: float
 
-    @classmethod
-    def from_terms(cls, n, alpha1, q2, main, recoil=0.0, wave=0.0, pref=1.0):
-        """Channel with terms pref * (main, recoil, wave), summed in that
-        order; a bare value books the whole of it as the main term."""
-        terms = XSTerms(pref * main, pref * recoil, pref * wave)
-        value = terms.main_energy + terms.recoil + terms.wave_pressure
-        return cls(n=n, value=value, terms=terms, alpha1=alpha1, q2=q2)
 
-
-def _complex(re, im):
-    """The complex array re + i im, each part copied as it is."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
-def _cmul(ar, ai, br, bi):
-    """(a b).real, (a b).imag as a complex product of numpy or Python
-    scalars computes them; a real factor enters as (x, 0.0), as it is
-    promoted there, so that signed zeros come out the same."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _expi(t):
-    """cmath.exp(1j * t) as (cos, sin): 1j * t has the imaginary part
-    0.0 + t, which turns t = -0.0 into +0.0."""
-    t = t + 0.0
-    return np.cos(t), np.sin(t)
+def _abs2(z):
+    """|z|^2 of a complex array, lane by lane."""
+    return z.real ** 2 + z.imag ** 2
 
 
 def _d_block(ns, alpha1, alpha2, theta1, laser, dressed):
     """The DFunctionsBlock of the lanes (n, alpha1, alpha2, theta1) of a
-    block.
-
-    Lane i reads J_{n-2..n+2}(alpha1, -alpha2, theta1) and gets the bits
-    of the same formulas evaluated on numpy and Python complex scalars:
-    each complex product is written out as real arithmetic (numpy's
-    complex-array product does not match the scalar one bit for bit), and
-    cmath.exp(-1j t) is (cos(-t), sin(-t)).  Dvec stays complex-array
-    arithmetic over (N, 3), which matches lane by lane.
-    """
+    block; lane i reads J_{n-2..n+2}(alpha1, -alpha2, theta1)."""
     specs = [(n - 2, n + 2, a1, -a2, t1) for n, a1, a2, t1 in
              zip(ns, alpha1.tolist(), alpha2.tolist(), theta1.tolist())]
-    rows = gbessel_block(specs).reshape(-1, 5).T
-    (m2r, m1r, jnr, p1r, p2r) = np.ascontiguousarray(rows.real)
-    (m2i, m1i, jni, p1i, p2i) = np.ascontiguousarray(rows.imag)
+    jm2, jm1, jn, jp1, jp2 = gbessel_block(specs).reshape(-1, 5).T
 
-    rel = theta1 - dressed.theta_pi
-    ar, ai = _cmul(m1r, m1i, np.cos(-rel), np.sin(-rel))
-    br, bi = _cmul(p1r, p1i, *_expi(rel))
-    d1 = _cmul(0.5, 0.0, ar + br, ai + bi)
-
+    ph1 = np.exp(1j * theta1)
+    ph2 = np.exp(2j * theta1)
+    ph_rel = np.exp(1j * (theta1 - dressed.theta_pi))
+    d1 = 0.5 * (jm1 * ph_rel.conj() + jp1 * ph_rel)
     zeta2 = laser.zeta**2
-    ar, ai = _cmul(m2r, m2i, np.cos(-2.0 * theta1), np.sin(-2.0 * theta1))
-    br, bi = _cmul(p2r, p2i, *_expi(2.0 * theta1))
-    er, ei = _cmul(0.5 * (1.0 - zeta2), 0.0, ar + br, ai + bi)
-    fr, fi = _cmul(1.0 + zeta2, 0.0, jnr, jni)
-    d2 = (fr + er, fi + ei)
+    d2 = (1.0 + zeta2) * jn + 0.5 * (1.0 - zeta2) * (jm2 * ph2.conj() + jp2 * ph2)
 
-    em = _complex(np.cos(-theta1), np.sin(-theta1))[:, None]
-    ep = _complex(*_expi(theta1))[:, None]
     pol_m = 0.5 * (E1 + 1j * laser.zeta * E2)
     pol_p = 0.5 * (E1 - 1j * laser.zeta * E2)
-    jm1, jp1 = rows[1][:, None], rows[3][:, None]
-    dvec = laser.a0bar * (pol_m * jm1 * em + pol_p * jp1 * ep)
-    dvec_abs2 = np.sum(np.abs(dvec) ** 2, axis=1)
-    return DFunctionsBlock(d_n=(jnr, jni), d1n_p=d1, d2n=d2, dvec=dvec,
-                   dvec_abs2=dvec_abs2)
+    dvec = laser.a0bar * (pol_m * (jm1 * ph1.conj())[:, None]
+                          + pol_p * (jp1 * ph1)[:, None])
+    return DFunctionsBlock(d_n=jn, d1n_p=d1, d2n=d2, dvec=dvec,
+                           dvec_abs2=_abs2(dvec).sum(axis=1))
 
 
 def d_functions(channel, laser, dressed):
@@ -237,8 +191,8 @@ def _prefactor_au(scenario, dressed, Pi_n, q2):
     """|Pivec'| |U~(q_n)|^2 / ((4 pi)^2 |Pivec|), converted to bohr^2/sr,
     lane by lane over arrays Pi_n and q2 (or for one channel's floats)."""
     ut = u_tilde(scenario.potential, q2)
-    with np.errstate(over="ignore"):    # as the Python floats it replaces
-        pref_nat = Pi_n * np.float_power(ut, 2.0) / (FOUR_PI_SQ * dressed.pivec_mag)
+    with np.errstate(over="ignore"):
+        pref_nat = Pi_n * (ut * ut) / (FOUR_PI_SQ * dressed.pivec_mag)
     return xs_to_atomic_units(pref_nat)
 
 
@@ -248,30 +202,24 @@ def partial_xs_general_block(scenario, block):
 
     One gbessel_block call reads the Bessel windows of all lanes; the
     D-functions, the three terms and the prefactor are array expressions
-    that give each lane the bits of the same formulas evaluated on scalars.
-    For those bits, x ** 2 of a float is np.float_power(x, 2.0) (np.power
-    and x * x do not match it), and abs() of a complex is np.hypot of its
-    parts (np.abs of a complex array does not match it).
+    evaluated elementwise, so no lane depends on the block around it.
     """
     laser = scenario.laser
     dressed = scenario.dressed()
     omega = laser.omega
     d = _d_block(block.n, block.alpha1, block.alpha2, block.theta1, laser,
                  dressed)
-    (jnr, jni), (d1r, d1i), (d2r, d2i) = d.d_n, d.d1n_p, d.d2n
 
-    ar, ai = _cmul(dressed.p.t, 0.0, jnr, jni)
-    br, bi = _cmul(omega * dressed.Z, 0.0, d2r, d2i)
-    cr, ci = _cmul(omega * dressed.alpha_pi, 0.0, d1r, d1i)
-    amp_abs = np.hypot(ar + br - cr, ai + bi - ci)
-    with np.errstate(over="ignore", invalid="ignore"):   # Python floats before
+    amp = (dressed.p.t * d.d_n + omega * dressed.Z * d.d2n
+           - omega * dressed.alpha_pi * d.d1n_p)
+    with np.errstate(over="ignore", invalid="ignore"):
         wave_factor = (omega**2 * block.q_perp2
                        / (dressed.kdotp * block.kdotp_final))
-    re_dn_d2n = jnr * d2r - jni * -d2i          # (D_n conj(D_{2,n})).real
 
-    main = 4.0 * np.float_power(amp_abs, 2.0)
-    recoil = -block.q2 * np.float_power(np.hypot(jnr, jni), 2.0)
-    wave = wave_factor * (d.dvec_abs2 - 0.5 * laser.a0bar**2 * re_dn_d2n)
+    main = 4.0 * _abs2(amp)
+    recoil = -block.q2 * _abs2(d.d_n)
+    wave = wave_factor * (d.dvec_abs2
+                          - 0.5 * laser.a0bar**2 * (d.d_n * d.d2n.conj()).real)
 
     pref = _prefactor_au(scenario, dressed, block.Pi_n, block.q2)
     terms = (pref * main, pref * recoil, pref * wave)
@@ -344,4 +292,6 @@ def partial_xs_nonrel(scenario, n):
     value_nat = (pf_mag / p_mag) * bessel_j(n, a1) ** 2 * (
         2.0 * m * ut / (4.0 * math.pi)
     ) ** 2
-    return PartialXS.from_terms(n, a1, q2, xs_to_atomic_units(value_nat))
+    value = xs_to_atomic_units(value_nat)
+    return PartialXS(n=n, value=value, terms=XSTerms(value, 0.0, 0.0),
+                     alpha1=a1, q2=q2)

@@ -16,10 +16,12 @@ two dumps and matches their values by key, so a channel added to or
 removed from an envelope moves no other line.  It prints how many values
 moved, how many keys were added and removed, and how many values changed
 their repr alone (np.float64(x) against x, same bits); then the largest
-|delta| of a moved value and the largest removed entry value, each
-divided by the peak of that scenario's general auto envelope (read from
-A), with its key: the measures of a change that means to move bits or
-the channel set.
+|delta| of a moved cross section (a value, a term or a total) and the
+largest removed entry value, each divided by the peak of that scenario's
+general auto envelope (read from A), with its key: the measures of a
+change that means to move bits or the channel set.  The other numbers
+(alpha1, q2, n, n_peak, alpha1_at_peak) have other units; the largest
+relative move |delta| / |x| among them is printed on a line of its own.
 
 The set, over random_scenarios(7, 40) without its K = 0.8, 60 mrad draws:
 - the general auto envelope;
@@ -61,6 +63,8 @@ ENTRY_FIELDS = ("n", "value", "main_energy", "recoil", "wave_pressure",
                 "alpha1", "q2")
 # the call whose largest value scales a scenario's |delta| in --compare
 PEAK_CALL = "envelope general"
+# fields that are not cross sections: --compare gives their relative move
+RELATIVE_FIELDS = ("n", "alpha1", "q2", "n_peak", "alpha1_at_peak")
 
 
 class Digest:
@@ -191,9 +195,10 @@ def compare(path_a, path_b):
     keys whose repr differs but not the number's bits (np.float64(x)
     against x); `added` and `removed`, keys in B alone and in A alone; and
     `worst_moved` and `worst_removed`, each (ratio, key) or (0.0, None):
-    the largest |delta| of a moved value, and the largest removed entry
-    value, over the peak of that scenario's general auto envelope (read
-    from A).  A delta that is not a finite number counts as infinite.
+    the largest |delta| of a moved value outside RELATIVE_FIELDS, and the
+    largest removed entry value, over the peak of that scenario's general
+    auto envelope (read from A).  A delta that is not a finite number
+    counts as infinite.
     """
     a, b = _read(path_a), _read(path_b)
     peaks = {}
@@ -233,10 +238,35 @@ def compare(path_a, path_b):
             out["repr_only"] += 1
             continue
         out["moved"] += 1
+        if key[3] in RELATIVE_FIELDS:
+            continue
         delta = math.inf if x is None or y is None else abs(x - y)
         out["worst_moved"] = worse(out["worst_moved"], key,
                                    delta if math.isfinite(delta) else math.inf)
     return out
+
+
+def worst_relative(path_a, path_b):
+    """(ratio, key) of the largest |delta| / |x| of a value in
+    RELATIVE_FIELDS that moved between dumps A (x) and B, or (0.0, None).
+    A value that moved from 0, or to or from a non-number, counts as
+    infinite."""
+    a, b = _read(path_a), _read(path_b)
+    worst = (0.0, None)
+    for key, text_a in a.items():
+        if key[3] not in RELATIVE_FIELDS or b.get(key, text_a) == text_a:
+            continue
+        x, y = _number(text_a), _number(b[key])
+        if x is not None and y is not None and x.hex() == y.hex():
+            continue
+        ratio = math.inf
+        if x is not None and y is not None and x != 0.0:
+            ratio = abs(y - x) / abs(x)
+            if math.isnan(ratio):
+                ratio = math.inf
+        if worst[1] is None or ratio > worst[0]:
+            worst = (ratio, key)
+    return worst
 
 
 def main():
@@ -256,6 +286,10 @@ def main():
             ratio, key = c[name]
             where = "" if key is None else " at " + " ".join(key)
             print(f"largest {what} / envelope peak: {ratio!r}{where}")
+        ratio, key = worst_relative(*args.compare)
+        where = "" if key is None else " at " + " ".join(key)
+        print(f"largest relative |delta| of {', '.join(RELATIVE_FIELDS)}: "
+              f"{ratio!r}{where}")
         return
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ import numpy as np
 
 from sbxs.errors import DomainError
 from sbxs.gbessel import gbessel_row
-from sbxs.xsection import PartialXS, _prefactor_au
+from sbxs.xsection import PartialXS, XSTerms, _prefactor_au
 
 # Below this |v| the linear closed form refuses (its 1/v factors are
 # removable singularities of the recurrence rearrangement); the general
@@ -33,6 +33,14 @@ def _channel_prefactor_au(scenario, dressed, channel):
                                np.array([channel.q2]))[0])
 
 
+def _partial_xs(n, alpha1, q2, main, recoil=0.0, wave=0.0, pref=1.0):
+    """PartialXS with terms pref * (main, recoil, wave), summed in that
+    order."""
+    terms = XSTerms(pref * main, pref * recoil, pref * wave)
+    value = terms.main_energy + terms.recoil + terms.wave_pressure
+    return PartialXS(n=n, value=value, terms=terms, alpha1=alpha1, q2=q2)
+
+
 def partial_xs_circular(scenario, n):
     """Closed form for zeta = 1, expressed through ordinary J_n and J_n'."""
     laser = scenario.laser
@@ -50,7 +58,7 @@ def partial_xs_circular(scenario, n):
         if n != 0:
             # J_n(0) = 0 for n != 0 (the n = +-1 wave-pressure limit is a
             # measure-zero configuration; the general path covers it).
-            return PartialXS.from_terms(n, a1, q2, 0.0)
+            return _partial_xs(n, a1, q2, 0.0)
         jn, jpn, n_over_a1 = 1.0, 0.0, 0.0
     else:
         row = gbessel_row(n - 1, n + 1, a1, 0.0, 0.0)
@@ -69,7 +77,7 @@ def partial_xs_circular(scenario, n):
     recoil = -q2 * jn**2
     wave = beta2 * ((n_over_a1**2 - 1.0) * jn**2 + jpn**2)
 
-    return PartialXS.from_terms(n, a1, q2, main, recoil, wave, pref)
+    return _partial_xs(n, a1, q2, main, recoil, wave, pref)
 
 
 def partial_xs_linear(scenario, n):
@@ -117,4 +125,4 @@ def partial_xs_linear(scenario, n):
     )
 
     pref = _channel_prefactor_au(scenario, dressed, channel)
-    return PartialXS.from_terms(n, channel.alpha1, q2, main, recoil, wave, pref)
+    return _partial_xs(n, channel.alpha1, q2, main, recoil, wave, pref)

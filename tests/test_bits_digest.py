@@ -49,3 +49,18 @@ def test_compare_counts_changed_error_text_as_moved(tmp_path):
     got = _compare(tmp_path, a, b)
     assert (got["moved"], got["repr_only"]) == (1, 0)
     assert got["worst_moved"][0] == float("inf")
+
+
+def test_compare_scales_only_cross_sections_by_the_peak(tmp_path):
+    # q2 in eV^2 and alpha1 move by far more than the peak (2.0) in bohr^2;
+    # they are reported relative to themselves, not over the peak
+    b = (DUMP_A.replace("2\talpha1\t7.5", "2\talpha1\t7.500000000000001")
+         .replace("1\tq2\tnp.float64(3.0)", "1\tq2\t3.0000000003"))
+    got = _compare(tmp_path, DUMP_A, b)
+    assert (got["moved"], got["worst_moved"]) == (2, (0.0, None))
+    ratio, key = bits_digest.worst_relative(tmp_path / "a.dump",
+                                            tmp_path / "b.dump")
+    assert key == ("0", "envelope general", "1", "q2")
+    assert ratio == abs(3.0000000003 - 3.0) / 3.0
+    assert bits_digest.worst_relative(tmp_path / "a.dump",
+                                      tmp_path / "a.dump") == (0.0, None)

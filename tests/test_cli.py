@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import xml.dom.minidom
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -412,6 +413,14 @@ def test_invalid_json_config_exit_2(tmp_path, capsys):
     assert "is not valid JSON" in err
 
 
+def test_config_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps(FIG1A).encode("utf-16"))  # starts ff fe
+    code, out, err = _run(capsys, ["total", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and "is not UTF-8 text" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit):  # argparse exits on unknown subcommand
         main(["frobnicate"])
@@ -730,6 +739,16 @@ def test_plot_large_totals_tick_in_exponent_form(tmp_path, capsys):
     code, out, _ = _run(capsys, ["plot", "--input", str(path)])
     assert code == 0
     assert ">2.0e+04<" in out and ">4.0e+04<" in out
+
+
+def test_plot_escapes_the_title(tmp_path, capsys):
+    # the title is the kind on the CSV's "# sbxs" line
+    path = tmp_path / "env.csv"
+    path.write_text("# sbxs a<b&c\nn,dsigma_au\n0,1.0\n1,2.0\n")
+    code, out, _ = _run(capsys, ["plot", "--input", str(path)])
+    assert code == 0
+    titles = xml.dom.minidom.parseString(out).getElementsByTagName("text")
+    assert titles[0].firstChild.data == "a<b&c"
 
 
 def test_plot_rejects_garbage(tmp_path, capsys):

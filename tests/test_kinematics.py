@@ -199,6 +199,30 @@ def test_alpha_theta_signed_zero_on_negative_e1_axis():
     assert ds.theta_pi == math.pi
 
 
+def test_alpha_theta_signed_zero_in_a_row_of_an_array():
+    las = laser(zeta=0.5)
+    rho = np.array([(-1.0, -0.0, 0.0), (-1.0, 0.0, 0.0), (0.3, -0.0, 2.0)])
+    alpha, theta = alpha_theta(rho, las)
+    assert theta.tolist()[:2] == [math.pi, math.pi]
+    assert alpha_theta(rho[0], las)[1] == math.pi
+
+
+def test_alpha_theta_rows_equal_their_one_vector_calls():
+    rng = np.random.default_rng(3)
+    rho = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-3, 3, size=(500, 1))
+    rho[:50, 1] = -0.0          # the negative-zero E2 projection
+    rho[50:60, :2] = 0.0        # along k: alpha = 0, theta fixed to 0
+    for zeta in (0.0, 0.3, 1.0):
+        las = laser(zeta=zeta)
+        alpha, theta = alpha_theta(rho, las)
+        assert isinstance(alpha, np.ndarray) and isinstance(theta, np.ndarray)
+        for i, row in enumerate(rho):
+            a, t = alpha_theta(row, las)
+            assert type(a) is float and type(t) is float
+            assert (a.hex(), t.hex()) == (float(alpha[i]).hex(),
+                                          float(theta[i]).hex()), (zeta, i)
+
+
 def test_alpha_theta_quadrants():
     las = laser(zeta=1.0)
     _, t = alpha_theta((-1.0, 1.0, 0.0), las)
