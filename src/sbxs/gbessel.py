@@ -41,11 +41,32 @@ _TINY_ARG = 1.0e-6
 # for x from 5 to 1000 (a batched step costs about as much as 21 scalar ones).
 _BATCH_MIN = 22
 
+# Most values that one chunk of a _sweep stores (see _sweep).  Measured on
+# a 2-vCPU x86-64 host on the block of the K = 0.8, zeta = 0 oblique 6 mrad
+# envelope (2.4e6 stored values): 145 ms per sweep at 60 MB peak RSS, against
+# 260 ms at 2^16 and 120 ms at 2^20, where the envelope peaked at 82 MB.
+_SWEEP_CHUNK = 1 << 18
+
+
+def _cbrt(x):
+    """Cube roots of an array of floats, each as Python's x ** (1/3): on
+    arrays np.power and np.cbrt round some of them the other way (27 **
+    (1/3) is 3.0, np.power gives 2.9999999999999996), and a start order
+    or a cut taken from them would move."""
+    return np.fromiter((c ** (1.0 / 3.0) for c in x.tolist()), float, x.size)
+
 
 def _miller_start(x, nmax):
     """Start order of the backward recurrence for J_0(x) .. J_nmax(x)."""
     top = max(nmax, int(x))
     return top + int(16.0 * max(top, 1) ** (1.0 / 3.0)) + 42
+
+
+def _miller_starts(xs, nmaxs):
+    """_miller_start of every lane, over arrays xs (floats) and nmaxs
+    (ints)."""
+    top = np.maximum(nmaxs, xs.astype(np.int64))
+    return top + (16.0 * _cbrt(np.maximum(top, 1).astype(float))).astype(np.int64) + 42
 
 
 def _jn_row(x, nmax):
@@ -100,65 +121,98 @@ def _jn_row(x, nmax):
     return np.array(work) / ssum
 
 
-def _jn_rows(xs, nmaxs, windows):
-    """Lane i is _jn_row(xs[i], nmaxs[i])[lo:hi + 1] with (lo, hi) =
-    windows[i], bit for bit.
+def _offsets(widths):
+    """Start of each lane in a flat array that holds the lanes one after
+    another, widths[i] values each."""
+    return np.cumsum(widths) - widths
+
+
+def _slots(bases, widths):
+    """Flat indexes of the lanes that start at bases, widths values each."""
+    return np.repeat(bases - _offsets(widths), widths) + np.arange(widths.sum())
+
+
+def _jn_rows(xs, nmaxs, lo, hi):
+    """_jn_row(xs[i], nmaxs[i])[lo[i]:hi[i] + 1] of every lane i, bit for
+    bit, lane after lane in one flat array (arrays of floats and ints in).
 
     The lanes with x >= _TINY_ARG share one _sweep when there are at least
     _BATCH_MIN of them; every other lane calls _jn_row.
     """
-    batch = [i for i, x in enumerate(xs) if x >= _TINY_ARG]
-    if len(batch) < _BATCH_MIN:
-        batch = []
-    out = [None] * len(xs)
-    if batch:
-        rows = _sweep([xs[i] for i in batch], [nmaxs[i] for i in batch],
-                      [windows[i] for i in batch])
-        for i, row in zip(batch, rows):
-            out[i] = row
-    for i, row in enumerate(out):
-        if row is None:
-            lo, hi = windows[i]
-            out[i] = _jn_row(xs[i], nmaxs[i])[lo:hi + 1]
+    batch = xs >= _TINY_ARG
+    if np.count_nonzero(batch) < _BATCH_MIN:
+        return np.concatenate([np.empty(0)] + [     # no lanes: no values
+            _jn_row(x, nmax)[a:b + 1] for x, nmax, a, b in
+            zip(xs.tolist(), nmaxs.tolist(), lo.tolist(), hi.tolist())])
+    if batch.all():
+        return _sweep(xs, nmaxs, lo, hi)
+    widths = hi - lo + 1
+    bases = _offsets(widths)
+    out = np.empty(widths.sum())
+    out[_slots(bases[batch], widths[batch])] = _sweep(
+        xs[batch], nmaxs[batch], lo[batch], hi[batch])
+    for i in np.flatnonzero(~batch).tolist():
+        out[bases[i]:bases[i] + widths[i]] = _jn_row(
+            float(xs[i]), int(nmaxs[i]))[lo[i]:hi[i] + 1]
     return out
 
 
-def _sweep(xs, nmaxs, windows):
-    """_jn_row(xs[i], nmaxs[i])[lo:hi + 1] for every lane i (all x >= _TINY_ARG)
-    from one backward recurrence over the lanes as an array.
+def _sweep(xs, nmaxs, lo, hi):
+    """_jn_row(xs[i], nmaxs[i])[lo[i]:hi[i] + 1] of every lane i (all x >=
+    _TINY_ARG), lane after lane in one flat array, from backward
+    recurrences over the lanes as arrays.
 
-    Step k advances every lane at once.  A lane rests at J~ = 0, which the
-    step keeps at 0, until its own start order, where it takes the seed;
-    from there it sees the scalar recurrence's operations in the scalar
-    order, with its own rescaling, normalization sum and final division.
-    Only each lane's window is stored.
+    The lanes run in chunks of consecutive start orders, each chunk
+    storing at most _SWEEP_CHUNK values (a lane wider than that is a chunk
+    of its own), so the bookkeeping of a long block stays bounded; the
+    chunk with the highest start orders runs first.  Within a chunk, step
+    k advances every lane at once.  A lane rests at J~ = 0, which the step
+    keeps at 0, until its own start order, where it takes the seed; from
+    there it sees the scalar recurrence's operations in the scalar order,
+    with its own rescaling, normalization sum and final division.  Only
+    each lane's window is stored.
     """
-    starts = np.array([_miller_start(x, nmax) for x, nmax in zip(xs, nmaxs)])
+    starts = _miller_starts(xs, nmaxs)
+    widths = hi - lo + 1
+    out = np.zeros(widths.sum())
+    norm = np.empty(xs.size)
+    shift = _offsets(widths) - lo        # order m of lane i sits at shift[i] + m
     rank = np.argsort(-starts, kind="stable")
-    lanes = [int(r) for r in rank]
-    starts = starts[rank]
-    top = int(starts[0])
-    lo = np.array([windows[i][0] for i in lanes])
-    width = np.array([windows[i][1] - windows[i][0] + 1 for i in lanes])
-    offset = np.concatenate(([0], np.cumsum(width)[:-1]))
-    # One slot of `work` per stored value, lane after lane; stores[k] holds
-    # the (slots, lanes) of the values stored at step k.
-    orders = np.arange(width.sum()) - np.repeat(offset - lo, width)
-    by_k = np.argsort(-orders, kind="stable")
-    lane_of = np.repeat(np.arange(len(lanes)), width)[by_k]
-    at = np.searchsorted(-orders[by_k], -np.arange(top + 2), side="right")
-    stores = [(by_k[at[k + 1]:at[k]], lane_of[at[k + 1]:at[k]])
-              if at[k + 1] < at[k] else None for k in range(top + 1)]
-    # lanes begun[k + 1]:begun[k] (in start order) take the seed at step k
-    begun = np.searchsorted(-starts, -np.arange(top + 2), side="right")
+    stored = np.cumsum(widths[rank])
+    first = 0
+    while first < rank.size:
+        done = int(stored[first - 1]) if first else 0
+        last = max(first + 1, int(np.searchsorted(stored, done + _SWEEP_CHUNK,
+                                                  side="right")))
+        lanes = rank[first:last]
+        norm[lanes] = _sweep_chunk(out, shift[lanes], xs[lanes], starts[lanes],
+                                   lo[lanes], hi[lanes])
+        first = last
+    out /= np.repeat(norm, widths)
+    return out
 
-    work = np.zeros(orders.size)
-    two_over_x = 2.0 / np.array([xs[i] for i in lanes])
+
+def _sweep_chunk(out, shift, xs, starts, lo, hi):
+    """Runs one chunk of _sweep's lanes (starts descending) and returns
+    their normalization sums; lane i stores J~_k at step k, for k in
+    lo[i]..hi[i], into out[shift[i] + k]."""
+    top = int(starts[0])
+    width = hi - lo + 1
+    # the chunk's stored values, by the step that stores them (orders
+    # descending): step k stores those of lanes lane_of[at[k + 1]:at[k]]
+    orders = np.repeat(hi + _offsets(width), width) - np.arange(width.sum())
+    by_k = np.argsort(-orders, kind="stable")
+    lane_of = np.repeat(np.arange(xs.size), width)[by_k]
+    at = np.searchsorted(-orders[by_k], -np.arange(top + 2), side="right").tolist()
+    # lanes begun[k + 1]:begun[k] take the seed at step k
+    begun = np.searchsorted(-starts, -np.arange(top + 2), side="right").tolist()
+
+    two_over_x = 2.0 / xs
     k_plus_1 = np.arange(1, top + 2, dtype=np.float64)
-    jp = np.zeros(len(lanes))      # J~_{k+1}
-    j = np.zeros(len(lanes))       # J~_k
-    jm = np.empty(len(lanes))
-    ssum = np.zeros(len(lanes))    # J~_0 + 2*sum J~_{2k}
+    jp = np.zeros(xs.size)         # J~_{k+1}
+    j = np.zeros(xs.size)          # J~_k
+    jm = np.empty(xs.size)
+    ssum = np.zeros(xs.size)       # J~_0 + 2*sum J~_{2k}
     big2 = _BIG * _BIG
     for k in range(top, -1, -1):
         if begun[k + 1] < begun[k]:
@@ -173,19 +227,15 @@ def _sweep(xs, nmaxs, windows):
                 j[i] *= _BIG_INV
                 jp[i] *= _BIG_INV
                 ssum[i] *= _BIG_INV
-                work[offset[i]:offset[i] + width[i]] *= _BIG_INV
-        if stores[k] is not None:
-            slots, which = stores[k]
-            work[slots] = j[which]
+                out[shift[i] + lo[i]:shift[i] + hi[i] + 1] *= _BIG_INV
+        if at[k + 1] < at[k]:
+            which = lane_of[at[k + 1]:at[k]]
+            out[shift[which] + k] = j[which]
         if k == 0:
             ssum += j
         elif k % 2 == 0:
             ssum += 2.0 * j
-    values = work / np.repeat(ssum, width)
-    out = [None] * len(xs)
-    for r, i in enumerate(lanes):
-        out[i] = values[offset[r]:offset[r] + width[r]]
-    return out
+    return ssum
 
 
 def _tail_negligible(n, x):
@@ -226,34 +276,49 @@ def _jn_lookup(row, orders, neg_arg, lo=0):
     return vals * sign
 
 
-def _series_cuts(u, v):
-    """Truncation bounds: k window for J_k(v), order cut for J_m(u)."""
-    au, av = abs(u), abs(v)
-    k_max = int(math.ceil(av + 8.0 * (av ** (1.0 / 3.0) + 1.0) + 12.0))
-    u_cut = int(math.ceil(au + 8.0 * (au ** (1.0 / 3.0) + 1.0) + 12.0))
-    return k_max, u_cut
+def _cut(a):
+    """Truncation bound ceil(a + 8 (a^(1/3) + 1) + 12) of each |argument| a:
+    the k window of J_k(|v|), the order cut of J_m(|u|)."""
+    return np.ceil(a + 8.0 * (_cbrt(a) + 1.0) + 12.0).astype(np.int64)
 
 
-def _series_plan(n_min, n_max, u, v, delta):
-    """Checks one row request and returns (k_max, u_cut, u_top, window).
-
-    J_m(|u|) is built up to order u_top, which sets its start order and so
-    its bits; window = (lo, hi) holds every |m| that the series reads.
-    """
+def _refuse(n_min, n_max, u, v, delta):
+    """The DomainError of one lane of a row request that has one."""
     if n_min > n_max:
         raise DomainError(f"n_min <= n_max required, got [{n_min}, {n_max}]")
     for name, val in (("u", u), ("v", v), ("delta", delta)):
         if not math.isfinite(val):
             raise DomainError(f"{name} must be finite, got {val}")
-    if abs(u) > _MAX_ARG or abs(v) > _MAX_ARG:
-        raise DomainError(f"|u|, |v| <= {_MAX_ARG} required")
-    k_max, u_cut = _series_cuts(u, v)
-    u_top = min(u_cut, max(abs(n_min), abs(n_max)) + 2 * k_max)
-    reach = 0 if v == 0.0 else 2 * k_max
+    raise DomainError(f"|u|, |v| <= {_MAX_ARG} required, got |u| = {abs(u)}, "
+                      f"|v| = {abs(v)} in the row n = {n_min}..{n_max}")
+
+
+def _series_plan(n_min, n_max, u, v, delta):
+    """Checks the row requests of a block, lane by lane over arrays, and
+    returns their (k_max, u_cut, u_top, lo, hi) as int arrays; a lane that
+    fails is a DomainError naming the first one.
+
+    J_m(|u|) is built up to order u_top = min(u_cut, max(|n_min|, |n_max|)
+    + 2 k_max), which sets its start order and so its bits.  The series
+    reads orders m in [m_lo, m_hi] = [n_min - reach, n_max + reach], reach
+    = 2 k_max (0 when v = 0), so (lo, hi) holds every |m| it reads up to
+    u_top: hi = min(max(|m_lo|, |m_hi|), u_top), and lo = 0 when the
+    orders span 0, else min(|m_lo|, |m_hi|, hi).  For m_lo <= m_hi these
+    are the max(-m_lo, m_hi) and max(m_lo, -m_hi, 0) computed here.
+    """
+    au, av = np.abs(u), np.abs(v)
+    ok = (n_min <= n_max) & (np.maximum(au, av) <= _MAX_ARG) & np.isfinite(delta)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        _refuse(int(n_min[i]), int(n_max[i]), float(u[i]), float(v[i]),
+                float(delta[i]))
+    k_max, u_cut = _cut(np.concatenate((av, au))).reshape(2, -1)
+    u_top = np.minimum(u_cut, np.maximum(-n_min, n_max) + 2 * k_max)
+    reach = np.where(v == 0.0, 0, 2 * k_max)
     m_lo, m_hi = n_min - reach, n_max + reach
-    hi = min(max(abs(m_lo), abs(m_hi)), u_top)
-    lo = 0 if m_lo <= 0 <= m_hi else min(abs(m_lo), abs(m_hi), hi)
-    return k_max, u_cut, u_top, (lo, hi)
+    hi = np.minimum(np.maximum(-m_lo, m_hi), u_top)
+    lo = np.minimum(np.maximum(np.maximum(m_lo, -m_hi), 0), hi)
+    return k_max, u_cut, u_top, lo, hi
 
 
 def _series(orders, u, v, delta, k_max, u_cut, row_u, lo, row_v):
@@ -273,26 +338,23 @@ def _series(orders, u, v, delta, k_max, u_cut, row_u, lo, row_v):
     return out
 
 
-def _v0_gather(rows, n_mins, widths, us, u_cuts, los):
+def _v0_gather(flat, bases, n_min, widths, u, u_cut, lo):
     """J_n(u, 0, D) of every order of several lanes, lane after lane, read
-    from their J_m(|u|) rows (orders lo and up) in one gather.
+    in one gather from their J_m(|u|) rows (orders lo and up), which start
+    at bases in the flat array of rows.
 
     J_k(0) = [k == 0], so only the k = 0 term of the series is left: J_n(u)
     inside the support |n| <= u_cut and 0 beyond it.  "+ 0.0" turns -0.0
     into the +0.0 that the summed k window gives.
     """
-    widths = np.array(widths)
-    starts = np.concatenate(([0], np.cumsum(widths)[:-1]))
-    bases = np.concatenate(([0], np.cumsum([row.size for row in rows])[:-1]))
     lane = np.repeat(np.arange(widths.size), widths)
-    orders = np.arange(widths.sum()) - starts[lane] + np.array(n_mins)[lane]
+    orders = np.arange(widths.sum()) - _offsets(widths)[lane] + n_min[lane]
     a = np.abs(orders)
-    inside = a <= np.array(u_cuts)[lane]
-    at = np.where(inside, bases[lane] + a - np.array(los)[lane], 0)
+    inside = a <= u_cut[lane]
+    at = np.where(inside, bases[lane] + a - lo[lane], 0)
     sign = np.where((orders < 0) & (a % 2 == 1), -1.0, 1.0)
-    neg = (np.array(us) < 0.0)[lane]
-    sign = np.where(neg & (orders % 2 != 0), -sign, sign)
-    values = np.concatenate(rows)[at] * sign + 0.0
+    sign = np.where((u < 0.0)[lane] & (orders % 2 != 0), -sign, sign)
+    values = flat[at] * sign + 0.0
     return np.where(inside, values, 0.0)
 
 
@@ -310,48 +372,46 @@ class GBesselRow:
         return self.values[n - self.n_min]
 
 
-def gbessel_block(specs):
-    """J_n(u, v, D) over n_min..n_max of every spec (n_min, n_max, u, v,
-    delta), lane after lane, as one flat complex array.
+def gbessel_block(n_min, n_max, u, v, delta):
+    """J_n(u, v, D) over n_min[i]..n_max[i] of every lane i, lane after
+    lane, as one flat complex array; the five arguments are sequences of
+    one length, n_min and n_max of ints.
 
-    The ordinary-Bessel rows of all specs come from one _jn_rows call (the
+    _series_plan checks every lane and sizes its rows as arrays.  The
+    ordinary-Bessel rows of all lanes come from one _jn_rows call (the
     J_k(|v|) row is skipped when v = 0).  The v = 0 lanes are read from
-    their rows in one gather; the v != 0 lanes are summed lane by lane.
-    n_min and n_max are ints.
+    the flat array of rows in one gather; the v != 0 lanes are summed lane
+    by lane.
     """
-    plans = [_series_plan(*spec) for spec in specs]
-    xs, nmaxs, windows = [], [], []
-    for (_, _, u, v, _), (k_max, _, u_top, window) in zip(specs, plans):
-        xs.append(abs(u))
-        nmaxs.append(u_top)
-        windows.append(window)
-        if v != 0.0:
-            xs.append(abs(v))
-            nmaxs.append(k_max)
-            windows.append((0, k_max))
-    rows = iter(_jn_rows(xs, nmaxs, windows))
-    widths = [n_max - n_min + 1 for n_min, n_max, *_ in specs]
-    out = np.zeros(sum(widths), dtype=complex)
-    v0 = []   # (out slice, J_m(|u|) row, n_min, width, u, u_cut, lo) at v = 0
-    start = 0
-    for (n_min, n_max, u, v, delta), (k_max, u_cut, _, (lo, _)), width in zip(
-            specs, plans, widths):
-        at = slice(start, start + width)
-        start += width
-        row_u = next(rows)
-        if v == 0.0:
-            v0.append((at, row_u, n_min, width, u, u_cut, lo))
-            continue
-        orders = np.arange(n_min, n_max + 1)
-        out[at] = _series(orders, u, v, delta, k_max, u_cut, row_u, lo,
-                          next(rows))
-    if v0:
-        slots, *lanes = zip(*v0)
-        values = _v0_gather(*lanes)
-        if len(slots) == len(specs):
-            out[:] = values
-        else:
-            out[np.concatenate([np.arange(s.start, s.stop) for s in slots])] = values
+    n_min = np.asarray(n_min, dtype=np.int64)
+    n_max = np.asarray(n_max, dtype=np.int64)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    k_max, u_cut, u_top, lo, hi = _series_plan(n_min, n_max, u, v, delta)
+    sums = np.flatnonzero(v != 0.0)
+    # rows: J_m(|u|) of every lane, then J_k(|v|) of the v != 0 lanes
+    rows_lo = np.concatenate((lo, np.zeros(sums.size, dtype=np.int64)))
+    rows_hi = np.concatenate((hi, k_max[sums]))
+    flat = _jn_rows(np.concatenate((np.abs(u), np.abs(v[sums]))),
+                    np.concatenate((u_top, k_max[sums])), rows_lo, rows_hi)
+    bases = _offsets(rows_hi - rows_lo + 1)
+    base_u, base_v = bases[:u.size], bases[u.size:]
+    widths = n_max - n_min + 1
+    gather = v == 0.0
+    if gather.all():
+        return _v0_gather(flat, base_u, n_min, widths, u, u_cut, lo).astype(complex)
+    starts = _offsets(widths)
+    out = np.zeros(widths.sum(), dtype=complex)
+    if gather.any():
+        out[_slots(starts[gather], widths[gather])] = _v0_gather(
+            flat, base_u[gather], n_min[gather], widths[gather], u[gather],
+            u_cut[gather], lo[gather])
+    for r, i in enumerate(sums.tolist()):
+        out[starts[i]:starts[i] + widths[i]] = _series(
+            np.arange(n_min[i], n_max[i] + 1), float(u[i]), float(v[i]),
+            float(delta[i]), int(k_max[i]), int(u_cut[i]),
+            flat[base_u[i]:base_u[i] + hi[i] - lo[i] + 1], int(lo[i]),
+            flat[base_v[r]:base_v[r] + k_max[i] + 1])
     return out
 
 
@@ -359,7 +419,8 @@ def gbessel_row(n_min, n_max, u, v, delta):
     """Row of J_n(u, v, D) over n_min..n_max: the one-spec call of
     gbessel_block.  n_min and n_max must be integers, else a DomainError."""
     n_min, n_max = _integer(n_min, "n_min"), _integer(n_max, "n_max")
-    return GBesselRow(n_min, n_max, gbessel_block([(n_min, n_max, u, v, delta)]))
+    return GBesselRow(n_min, n_max, gbessel_block([n_min], [n_max], [u], [v],
+                                                  [delta]))
 
 
 def gbessel(n, u, v, delta):

@@ -16,7 +16,7 @@ quasimomentum magnitude Pi_n = sqrt(Pivec^2 + n*omega*(2*Pi0 + n*omega)).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -264,6 +264,18 @@ class ChannelBlock:
     theta1: np.ndarray
     beta2: np.ndarray
 
+    def take(self, lanes):
+        """The ChannelBlock of the lanes of a slice."""
+        return ChannelBlock(*(getattr(self, f.name)[lanes] for f in fields(self)))
+
+    @staticmethod
+    def join(blocks):
+        """One ChannelBlock of the lanes of several, block after block."""
+        return ChannelBlock(
+            [n for b in blocks for n in b.n],
+            *(np.concatenate([getattr(b, f.name) for b in blocks])
+              for f in fields(ChannelBlock)[1:]))
+
     def channel(self, i):
         """Lane i as a Channel, its fields Python floats."""
         return Channel(
@@ -295,7 +307,9 @@ def open_channels(dressed, ns, rhat, laser):
     does not: along KHAT it rounds to 0 at high intensity.  Each lane is
     computed elementwise, so its bits do not depend on the block around it.
     """
-    ns = [_integer(n, "photon number") for n in ns]
+    ns = list(ns)
+    if not all(type(n) is int for n in ns):
+        ns = [_integer(n, "photon number") for n in ns]
     r = _vec(rhat)
     r = r / float(np.linalg.norm(r))
     omega = laser.omega

@@ -1,7 +1,13 @@
 """Envelope sweeps over photon number, totals, and intensity sweeps.
 
-All reductions run in a fixed (ascending n / grid) order in one thread, so
-results are bitwise reproducible; individual evaluations are pure.
+An auto envelope first walks the channel kinematics of each side outward
+from n = 0 (no Bessel row built) to where |n| clears the Bessel-support
+margin at its own alpha1(n), then evaluates the center and both sides as
+one block, so it pays one Miller sweep; a side extends only if its tail
+rule is not met there.  All reductions run in a fixed (ascending n / grid)
+order in one thread, so results are bitwise reproducible; individual
+evaluations are pure, and no result depends on how channels are grouped
+into blocks.
 """
 
 import math
@@ -11,9 +17,12 @@ import numpy as np
 
 from .dirac_oracle import xs_oracle
 from .errors import ChannelClosedError, ConvergenceError, DomainError, _integer
-from .kinematics import LaserField, _unit
+from .gbessel import _MAX_ARG
+from .kinematics import ChannelBlock, LaserField, _unit
 from .potential import PotentialFT
-from .xsection import (
+# Nothing here calls partial_xs_general: bench/run.py reads it from this
+# module (TRACE_TARGETS) until roadmap item 7 drops that tracer.
+from .xsection import (  # noqa: F401
     Scenario,
     partial_xs_general,
     partial_xs_general_block,
@@ -25,8 +34,15 @@ TAIL_CUT_DEFAULT = 1.0e-8
 # Bessel-support margin, before the tail cut may end it.
 MARGIN_FACTOR = 10.0
 
-# Channels per side in each block of the auto range after the first, which
-# reaches the Bessel-support margin of alpha1(0) on both sides at once.
+# The walk along a side of the auto range ends at the first n with |n| >
+# margin(alpha1(n)) + WALK_SLACK.  Over 75 random-scenario envelopes, 8 cut
+# the sweeps of two K = 0.8, zeta < 1 envelopes from 3 to 1 and 2, which 0
+# and 4 did not, for about 4 % more CPU on the fig1a intensity sweep.
+WALK_SLACK = 8.0
+
+# Channels per side in each block that extends the auto range past its
+# walk, and in the walk's first step (each further step opens twice as
+# many).
 BLOCK_EXTEND = 24
 
 
@@ -84,24 +100,76 @@ def _block(scenario, ns):
     return partial_xs_general_block(scenario, block)[0], closed
 
 
-def _outward(scenario, step, first, reach):
-    """Entries of channels step, 2*step, ... outward, up to the first
-    closed one: first, the entries of the first reach channels, then
-    BLOCK_EXTEND channels at a time.  A channel closes only below a
-    threshold n, so every channel past a closed one is closed too, and a
-    block that skipped one ends the side."""
+def _walk(scenario):
+    """The first block of the scenario's auto range, found from kinematics
+    alone: (the ChannelBlock of n = 0, then of the + side outward, then of
+    the - side outward; the channel count of the + side; per side, whether
+    it may go on past the block, i.e. met no closed channel).
+
+    Each side runs out from n = 0 up to the first n with |n| >
+    margin(alpha1(n)) + WALK_SLACK, up to the first whose alpha1 the
+    Bessel rows refuse (not at most _MAX_ARG, so the block's evaluation
+    names it), or up to the first closed channel, which ends the side: a
+    channel closes only below a threshold n, so every channel past a closed
+    one is closed too.  One open_channels call per step opens the next
+    channels of both sides (and n = 0 in the first), BLOCK_EXTEND per side
+    at first and twice as many at each further step.
+    """
+    field = scenario.laser.a0bar != 0.0
+    center, sides = None, ([], [])   # ChannelBlocks of n = 0, of each side
+    more = [field, field]         # the side may go on past its walk
+    going = [field, field]        # the side's walk goes on
+    walked, size = [0, 0], BLOCK_EXTEND
+    ns = [0, *range(1, size + 1), *range(-1, -size - 1, -1)] if field else [0]
+    while ns:
+        block, closed = scenario.channels(ns)
+        if closed is not None and closed.n == 0:
+            raise closed
+        signs = np.sign(block.n)       # block order: n = 0, + side, - side
+        ends = np.cumsum([0, *(np.count_nonzero(signs == w) for w in (0, 1, -1))])
+        if center is None:
+            center = block.take(slice(ends[0], ends[1]))
+        ns = []
+        for side, step in enumerate((1, -1)):
+            lanes = block.take(slice(ends[side + 1], ends[side + 2]))
+            if going[side]:
+                past = ((np.abs(lanes.n) > _margin(lanes.alpha1) + WALK_SLACK)
+                        | ~(lanes.alpha1 <= _MAX_ARG))
+                if past.any():
+                    lanes = lanes.take(slice(0, int(np.argmax(past)) + 1))
+                    going[side] = False
+                elif len(lanes.n) < size:
+                    going[side] = more[side] = False
+            sides[side].append(lanes)
+            walked[side] += len(lanes.n)
+            if going[side]:
+                ns += range(step * (walked[side] + 1),
+                            step * (walked[side] + 2 * size + 1), step)
+        size *= 2
+    return ChannelBlock.join([center, *sides[0], *sides[1]]), walked[0], more
+
+
+def _outward(scenario, step, first, more):
+    """Entries of channels step, 2*step, ... outward: first, then, while
+    the side may go on, BLOCK_EXTEND channels at a time up to a block that
+    met a closed one."""
     yield from first
-    entries, size, n = first, reach, step * (reach + 1)
-    while len(entries) == size:
-        entries, _ = _block(scenario, range(n, n + step * BLOCK_EXTEND, step))
+    n = step * (len(first) + 1)
+    while more:
+        entries, closed = _block(scenario, range(n, n + step * BLOCK_EXTEND, step))
         yield from entries
-        size, n = BLOCK_EXTEND, n + step * BLOCK_EXTEND
+        more, n = closed is None, n + step * BLOCK_EXTEND
 
 
 def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
     """Channel envelope; auto range expands from n = 0 until the tail is
     below tail_cut * peak AND |n| clears the Bessel support margin.
 
+    The auto range of the general formula walks each side's kinematics out
+    to margin(alpha1(n)) plus WALK_SLACK, or to its first closed channel,
+    and evaluates the center and both sides as one block (one Miller
+    sweep); the nonrel reference starts both sides empty.  A side extends
+    by BLOCK_EXTEND channels at a time while the tail rule is not met.
     With an explicit (n_min, n_max) range, closed channels inside the range
     are skipped.  The included set is canonical: it never depends on which
     side expanded first, nor on how the channels were grouped into blocks.
@@ -117,20 +185,17 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
             raise ChannelClosedError(n_min, "no open channels in range")
         return _finish_envelope(entries)
 
-    center = partial(scenario, 0)
-    if scenario.laser.a0bar == 0.0:
-        return _finish_envelope([center])
-
-    # One block holds the first reach channels of both sides, +n before -n:
-    # they reach the Bessel-support margin of alpha1(0).
-    reach = int(_margin(center.alpha1)) + 1
-    entries, _ = _block(scenario, [*range(1, reach + 1),
-                                   *range(-1, -reach - 1, -1)])
+    if scenario.formula == "general":
+        block, plus, more = _walk(scenario)
+        entries = partial_xs_general_block(scenario, block)[0]
+        center, firsts = entries[0], (entries[1:1 + plus], entries[1 + plus:])
+    else:
+        center, firsts = partial(scenario, 0), ([], [])
+        more = [scenario.laser.a0bar != 0.0] * 2
     vmax = center.value
     sides = ([], [])
-    for step, side in zip((1, -1), sides):
-        first = [px for px in entries if (px.n > 0) == (step > 0)]
-        for px in _outward(scenario, step, first, reach):
+    for step, first, go_on, side in zip((1, -1), firsts, more, sides):
+        for px in _outward(scenario, step, first, go_on):
             side.append(px)
             vmax = max(vmax, px.value)
             if _tail_done(px, vmax, tail_cut):
@@ -253,18 +318,28 @@ def oracle_deviation_sweep(seed, samples):
     rng = np.random.default_rng(seed + 1)
     records = []
     for idx, scenario in enumerate(scenarios):
-        ch0 = partial_xs_general(scenario, 0)
-        span = int(math.ceil(ch0.alpha1)) + 3
-        floor = 1.0e-12 * ch0.value
+        center, closed = scenario.channels([0])
+        if closed is not None:
+            raise closed
+        span = int(math.ceil(center.alpha1[0])) + 3
+        floor = None
         for _ in range(12):
             n = int(rng.integers(-span, span + 1))
             block, closed = scenario.channels([n])
+            if floor is None:
+                # n = 0 rides in the first draw's block: its value sets the floor
+                block = ChannelBlock.join([center, block])
+            elif closed is not None:
+                continue
+            entries, d = partial_xs_general_block(scenario, block)
+            if floor is None:
+                floor = 1.0e-12 * entries[0].value
             if closed is not None:
                 continue
             # the oracle reads the channel's D-functions from this block
-            [entry], d = partial_xs_general_block(scenario, block)
-            general = entry.value
-            oracle = xs_oracle(scenario, n, (block.channel(0), d.lane(0)))
+            i = len(entries) - 1
+            general = entries[i].value
+            oracle = xs_oracle(scenario, n, (block.channel(i), d.lane(i)))
             scale = max(abs(general), abs(oracle))
             if scale <= floor:
                 continue

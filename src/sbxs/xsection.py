@@ -160,9 +160,9 @@ def _abs2(z):
 def _d_block(ns, alpha1, alpha2, theta1, laser, dressed):
     """The DFunctionsBlock of the lanes (n, alpha1, alpha2, theta1) of a
     block; lane i reads J_{n-2..n+2}(alpha1, -alpha2, theta1)."""
-    specs = [(n - 2, n + 2, a1, -a2, t1) for n, a1, a2, t1 in
-             zip(ns, alpha1.tolist(), alpha2.tolist(), theta1.tolist())]
-    jm2, jm1, jn, jp1, jp2 = gbessel_block(specs).reshape(-1, 5).T
+    ns = np.asarray(ns)
+    jm2, jm1, jn, jp1, jp2 = gbessel_block(
+        ns - 2, ns + 2, alpha1, -alpha2, theta1).reshape(-1, 5).T
 
     ph1 = np.exp(1j * theta1)
     ph2 = np.exp(2j * theta1)

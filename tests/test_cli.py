@@ -606,6 +606,31 @@ def test_ksweep_reports_per_point_errors(tmp_path, capsys):
     assert any(l.startswith("# error K=1.2: DomainError: |q| =") for l in lines)
 
 
+def test_bessel_argument_past_its_bound_names_the_lane(tmp_path, capsys):
+    # at 1e-50 eV the channels' Bessel argument alpha1 passes
+    # gbessel._MAX_ARG; the refusal names the first lane's orders, |u| and
+    # |v|, in total's exit 3 and in each of ksweep's per-point records
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg["laser"]["photon_energy_eV"] = 1e-50
+    path = tmp_path / "weak_photon.json"
+    path.write_text(json.dumps(cfg))
+    want = re.compile(r"\|u\|, \|v\| <= 100000\.0 required, got \|u\| = "
+                      r"\S+, \|v\| = 0\.0 in the row n = -2\.\.2$")
+    code, out, err = _run(capsys, ["total", "--config", str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: ")
+    assert want.match(err[len("domain error: "):].rstrip("\n"))
+    u = float(err.split("|u| = ")[1].split(",")[0])
+    assert u > 1e100
+    code, out, _ = _run(capsys, ["ksweep", "--config", str(path)])
+    assert code == 0
+    errors = [line for line in out.splitlines() if line.startswith("# error")]
+    assert [e.split(":")[0] for e in errors] == ["# error K=0.1", "# error K=0.3",
+                                                 "# error K=0.5"]
+    for line in errors:
+        assert want.match(line.split(": DomainError: ")[1]), line
+
+
 def test_gbessel_debug(capsys):
     code, out, _ = _run(capsys, ["gbessel", "--n", "3", "--u", "5.0",
                                  "--v", "0.0", "--delta", "0.7"])

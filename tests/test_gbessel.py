@@ -345,6 +345,70 @@ def _bits(values):
     return np.asarray(values).tobytes()
 
 
+def _split(flat, windows):
+    """The lanes of a flat array of rows, one per window (lo, hi)."""
+    widths = [hi - lo + 1 for lo, hi in windows]
+    assert sum(widths) == flat.size
+    return np.split(flat, np.cumsum(widths)[:-1])
+
+
+def _rows(rows_of, xs, nmaxs, windows):
+    """_jn_rows or _sweep over lists of lanes, split into lanes."""
+    lo, hi = zip(*windows)
+    flat = rows_of(np.array(xs, dtype=float), np.array(nmaxs), np.array(lo),
+                   np.array(hi))
+    return _split(flat, windows)
+
+
+def _scalar_cut(a):
+    """The truncation bound of |argument| a, in Python floats."""
+    return int(math.ceil(a + 8.0 * (a ** (1.0 / 3.0) + 1.0) + 12.0))
+
+
+def _scalar_plan(n_min, n_max, u, v):
+    """(k_max, u_cut, u_top, lo, hi) of one row request, in Python ints and
+    floats."""
+    k_max, u_cut = _scalar_cut(abs(v)), _scalar_cut(abs(u))
+    u_top = min(u_cut, max(abs(n_min), abs(n_max)) + 2 * k_max)
+    reach = 0 if v == 0.0 else 2 * k_max
+    m_lo, m_hi = n_min - reach, n_max + reach
+    hi = min(max(abs(m_lo), abs(m_hi)), u_top)
+    lo = 0 if m_lo <= 0 <= m_hi else min(abs(m_lo), abs(m_hi), hi)
+    return k_max, u_cut, u_top, lo, hi
+
+
+def test_array_plan_matches_the_scalar_formulas():
+    # every cut, window and start order of the array plan is the one of the
+    # scalar formulas (the start order's is _jn_row's own), lane by lane; a
+    # cube root rounded the other way moves a start order and so a row's bits
+    rng = np.random.default_rng(53)
+    count = 4000
+    u = np.concatenate((rng.uniform(0.0, 1.0e5, count // 4),
+                        10.0 ** rng.uniform(-7.0, 5.0, count // 4),
+                        np.floor(rng.uniform(0.0, 1.0e5, count // 4)),
+                        rng.uniform(0.0, 200.0, count // 4)))
+    u *= np.where(rng.random(count) < 0.5, -1.0, 1.0)
+    v = np.where(rng.random(count) < 0.5, 0.0,
+                 rng.uniform(-1.0, 1.0, count) * np.abs(u) / 3.0)
+    v[::7] = -0.0
+    n = rng.integers(-150_000, 150_000, count)
+    width = rng.integers(0, 6, count)
+    n_min, n_max = n, n + width
+    plan = np.column_stack(gb._series_plan(n_min, n_max, u, v, np.zeros(count)))
+    for i in range(count):
+        want = _scalar_plan(int(n_min[i]), int(n_max[i]), float(u[i]), float(v[i]))
+        assert tuple(plan[i].tolist()) == want, (n_min[i], n_max[i], u[i], v[i])
+    k_max, _, u_top, _, _ = plan.T
+    # top = 27 in the last three lanes: Python's 27 ** (1/3) is 3.0, while
+    # np.power on an array can give 2.9999999999999996 (start 116, not 117)
+    xs = np.concatenate((np.abs(u), np.abs(v), [5.0, 27.0, 27.9]))
+    nmaxs = np.concatenate((u_top, k_max, [27, 0, 20]))
+    starts = gb._miller_starts(xs, nmaxs)
+    assert starts.tolist() == [gb._miller_start(float(x), int(m))
+                               for x, m in zip(xs, nmaxs)]
+    assert starts[-3:].tolist() == [117, 117, 117]
+
+
 def test_jn_rows_equal_jn_row_lane_by_lane(sweeps):
     # x = 1e-5, 1e-3 and _TINY_ARG rescale on the way down (x = 1e-5 at
     # nmax 300 crosses _BIG 32 times); 0 and x < 1e-6 take the scalar
@@ -359,8 +423,8 @@ def test_jn_rows_equal_jn_row_lane_by_lane(sweeps):
     for nmax in nmaxs:
         lo = int(rng.integers(0, nmax + 1))
         windows.append((lo, int(rng.integers(lo, nmax + 1))))
-    rows = gb._jn_rows(xs, nmaxs, [(0, nmax) for nmax in nmaxs])
-    cut = gb._jn_rows(xs, nmaxs, windows)
+    rows = _rows(gb._jn_rows, xs, nmaxs, [(0, nmax) for nmax in nmaxs])
+    cut = _rows(gb._jn_rows, xs, nmaxs, windows)
     assert sweeps["batched"] == 2
     for x, nmax, (lo, hi), row, part in zip(xs, nmaxs, windows, rows, cut):
         ref = gb._jn_row(x, nmax)
@@ -376,7 +440,7 @@ def test_sweep_rescales_like_jn_row():
     nmaxs = [300, 300, 110000, 200]
     windows = [(0, 300), (250, 300), (99000, 110000), (0, 200)]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        lanes = gb._sweep(xs, nmaxs, windows)
+        lanes = _rows(gb._sweep, xs, nmaxs, windows)
         for x, nmax, (lo, hi), lane in zip(xs, nmaxs, windows, lanes):
             ref = gb._jn_row(x, nmax)
             assert _bits(lane) == _bits(ref[lo:hi + 1]), (x, nmax)
@@ -389,8 +453,8 @@ def test_jn_row_against_mpmath():
     # 1.9e-14 of the row's max |J| at x = 1064
     import mpmath
     xs = [5.8, 145.0, 1064.0, 8730.0]
-    nmaxs = [gb._series_cuts(x, 0.0)[1] for x in xs]
-    lanes = gb._sweep(xs, nmaxs, [(0, nmax) for nmax in nmaxs])
+    nmaxs = [_scalar_cut(x) for x in xs]
+    lanes = _rows(gb._sweep, xs, nmaxs, [(0, nmax) for nmax in nmaxs])
     with mpmath.workdps(30):
         for x, nmax, lane in zip(xs, nmaxs, lanes):
             row = gb._jn_row(x, nmax)
@@ -420,7 +484,7 @@ def test_gbessel_block_equals_gbessel_row(sweeps):
     # one block of many specs runs one batched sweep, and each spec's slice
     # of it has the bits of that spec's own row
     specs = _specs(np.random.default_rng(43), 3 * gb._BATCH_MIN)
-    values = gb.gbessel_block(specs)
+    values = gb.gbessel_block(*zip(*specs))
     assert sweeps == {"scalar": 0, "batched": 1}
     start = 0
     for spec in specs:
@@ -450,7 +514,7 @@ def test_v0_shortcut_equals_k_window_sum():
 
     for u, delta in cases:
         for v in (0.0, -0.0):
-            k_max, u_cut = gb._series_cuts(u, v)
+            k_max, u_cut = _scalar_cut(abs(v)), _scalar_cut(abs(u))
             n_lo, n_hi = -u_cut - 6, u_cut + 6
             row_u = gb._jn_row(abs(u), min(u_cut, max(-n_lo, n_hi) + 2 * k_max))
             row_v = gb._jn_row(abs(v), k_max)

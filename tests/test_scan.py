@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sbxs.gbessel as gb
 import sbxs.scan as scan
 from closed_forms import partial_xs_circular, partial_xs_linear
 from conftest import make_scenario, write_screened_table
@@ -201,8 +202,27 @@ def test_k_sweep_reports_per_point_errors(tmp_path):
     pot = PotentialFT.from_table(path)
     s = make_scenario(pot, K=0.17, zeta=1.0, deflection_mrad=6.0)
     pts = k_sweep(s, [0.05, 1.2])
+    # the bad point's error leaves the good point's total as it is alone,
+    # and is the error of its own total
     assert pts[0].error is None
-    assert pts[1].error is not None and math.isnan(pts[1].total)
+    assert pts[0].total == total_xs(s.with_K(0.05))
+    with pytest.raises(DomainError) as exc:
+        total_xs(s.with_K(1.2))
+    assert pts[1].error == f"{type(exc.value).__name__}: {exc.value}"
+    assert math.isnan(pts[1].total)
+
+
+def test_k_sweep_isolates_a_point_whose_bessel_argument_is_refused(fig1a, monkeypatch):
+    # a lane that the Bessel plan refuses fails its own point only
+    monkeypatch.setattr(gb, "_MAX_ARG", 130.0)
+    grid = [0.1, 0.9]
+    pts = k_sweep(fig1a, grid)
+    assert pts[0].error is None
+    assert pts[0].total == total_xs(fig1a.with_K(0.1))
+    with pytest.raises(DomainError) as exc:
+        total_xs(fig1a.with_K(0.9))
+    assert str(exc.value).startswith("|u|, |v| <= 130.0 required, got |u| = ")
+    assert pts[1].error == f"DomainError: {exc.value}"
 
 
 def test_k_sweep_equals_independent_totals_in_order(fig1a):
@@ -289,31 +309,44 @@ def test_block_envelope_equals_single_channels(pot_fig, kw):
                                 NONREL_CLOSING])
 def test_envelope_independent_of_block_size(pot_fig, fig1a, kw, monkeypatch):
     # the auto range is canonical: regrouping its channels into blocks of
-    # any size moves no entry, no total and no peak
+    # any size, walking each side to any slack and sweeping the Bessel rows
+    # in chunks of any bound moves no entry, no total and no peak
     s = fig1a if kw is None else make_scenario(pot_fig, **kw)
+    chunks = []
+    real_chunk = gb._sweep_chunk
+    monkeypatch.setattr(gb, "_sweep_chunk",
+                        lambda *a: chunks.append(1) or real_chunk(*a))
     seen = []
-    for size in (1, 7, 24, 500):
+    for size, slack, bound in ((24, 8.0, 1 << 18), (1, 8.0, 1 << 18),
+                               (7, 0.0, 1 << 18), (500, 8.0, 1 << 18),
+                               (24, -40.0, 1 << 18), (24, 100.0, 1 << 18),
+                               (24, 8.0, 1), (24, 8.0, 300)):
         monkeypatch.setattr(scan, "BLOCK_EXTEND", size)
+        monkeypatch.setattr(scan, "WALK_SLACK", slack)
+        monkeypatch.setattr(gb, "_SWEEP_CHUNK", bound)
+        chunks.clear()
         env = envelope(s)
         seen.append(([_fields(px) for px in env.entries], env.total,
                      env.n_peak, env.alpha1_at_peak))
+        if kw is ZETA_HALF and bound == 300:
+            assert len(chunks) > 3      # the bound splits the one block
     assert all(got == seen[0] for got in seen[1:])
 
 
 def test_fig1a_envelope_sweeps_in_blocks(fig1a, sweeps):
     # a fallback to one Miller row per channel would run ~70 sweeps here;
-    # the center is one scalar row, and the first block of both sides,
-    # which reaches every channel of fig1a, is one sweep
+    # the walk reaches every channel of fig1a, and the center and both
+    # sides are one block: one sweep
     env = envelope(fig1a)
     assert len(env.entries) == 69
-    assert sweeps == {"batched": 1, "scalar": 1}
+    assert sweeps == {"batched": 1, "scalar": 0}
 
 
 def test_fig1a_k_sweep_sweeps_once_per_first_block(fig1a, sweeps):
-    # 9 envelopes: one shared first block each, and 2 extension blocks
-    # (one sweep per side per block would make 20)
+    # 9 envelopes, each one walked block: one sweep per envelope (the
+    # first block and the extension blocks of each side made 11)
     k_sweep(fig1a, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-    assert sweeps["batched"] <= 11
+    assert sweeps == {"batched": 9, "scalar": 0}
 
 
 def test_envelope_table_range_error_comes_from_the_first_block(tmp_path, fig1a):
