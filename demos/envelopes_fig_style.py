@@ -42,7 +42,7 @@ for zeta, pol in ((1.0, "circular"), (0.0, "linear")):
         )
         env = envelope(s)
         print(f"  {label:>12}: {len(env.entries)} channels "
-              f"[{env.entries[0].n}, {env.entries[-1].n}], peak at "
+              f"[{env.entries.n[0]}, {env.entries.n[-1]}], peak at "
               f"n = {env.n_peak:+d} (alpha1 = {env.alpha1_at_peak:.3f}), "
               f"total = {env.total:.4f} a.u.")
         curves.append((label, env))
@@ -50,8 +50,8 @@ for zeta, pol in ((1.0, "circular"), (0.0, "linear")):
     # one SVG per direction (the CLI `plot` subcommand does the same for CSVs)
     for label, env in curves:
         svg = render_svg(
-            [px.n for px in env.entries],
-            [px.value for px in env.entries],
+            env.entries.n,
+            env.entries.value.tolist(),
             xlabel="photon number n",
             ylabel="dsigma/dOmega [a.u.]",
             title=f"{pol}, {label}, 0.6 mrad",

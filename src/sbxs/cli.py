@@ -199,11 +199,9 @@ def _rows_csv(header, columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _px_entry(px):
+def _entry(n, value, alpha1, q2, *terms):
     """One channel keyed by the ENVELOPE_COLUMNS names, q2 in a.u."""
-    values = (px.n, px.value, px.alpha1,
-              units.momentum_ev_to_au(1.0) ** 2 * px.q2,
-              px.terms.main_energy, px.terms.recoil, px.terms.wave_pressure)
+    values = (n, value, alpha1, units.momentum_ev_to_au(1.0) ** 2 * q2, *terms)
     return dict(zip(ENVELOPE_COLUMNS.split(","), values))
 
 
@@ -216,20 +214,21 @@ def _emit(text, output_path):
 
 
 def _payload(resolved, kind, channels, fmt, **fields):
-    """The channels as CSV rows under the config header, or for fmt "json"
-    one document of the config, the kind and the given fields."""
+    """The _entry dicts as CSV rows under the config header, or for fmt
+    "json" one document of the config, the kind and the given fields."""
     if fmt == "json":
         doc = dict(fields, config=resolved, kind=kind)
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    rows = [tuple(_px_entry(px).values()) for px in channels]
+    rows = [tuple(channel.values()) for channel in channels]
     return _rows_csv(config_header(resolved, kind), ENVELOPE_COLUMNS, rows)
 
 
 def cmd_partial(args):
     resolved, scenario, _ = resolve_config(load_config(args.config))
     px = partial(scenario, args.n)
-    _emit(_payload(resolved, "partial", [px], args.format,
-                   entry=_px_entry(px)), args.output)
+    entry = _entry(px.n, px.value, px.alpha1, px.q2, *vars(px.terms).values())
+    _emit(_payload(resolved, "partial", [entry], args.format, entry=entry),
+          args.output)
     return 0
 
 
@@ -243,10 +242,12 @@ def cmd_envelope(args):
                  "envelope: --n-min must not exceed --n-max")
         n_range = (args.n_min, args.n_max)
     env = envelope(scenario, n_range=n_range, tail_cut=run["tail_cut"])
-    _emit(_payload(resolved, "envelope", env.entries, args.format,
+    e = env.entries
+    entries = [_entry(*lane) for lane in zip(e.n, *(c.tolist() for c in (
+        e.value, e.alpha1, e.q2, e.main_energy, e.recoil, e.wave_pressure)))]
+    _emit(_payload(resolved, "envelope", entries, args.format,
                    n_peak=env.n_peak, alpha1_at_peak=env.alpha1_at_peak,
-                   total_au=env.total,
-                   entries=[_px_entry(px) for px in env.entries]),
+                   total_au=env.total, entries=entries),
           args.output)
     return 0
 

@@ -247,22 +247,41 @@ def _tail_negligible(n, x):
     return logb < -702.0
 
 
-def bessel_j(n, x):
-    """Ordinary Bessel function J_n(x), integer n, real x.
+def _orders(orders):
+    """The integer orders as an int64 array, or a DomainError naming the
+    first with |n| > _MAX_ORDER (np.asarray keeps an int past int64)."""
+    a = np.asarray(orders)
+    big = np.abs(a) > _MAX_ORDER
+    if big.any():
+        raise DomainError(f"|n| <= {_MAX_ORDER} required, got {a[int(np.argmax(big))]}")
+    return a.astype(np.int64)
 
-    _jn_lookup applies the parity in n and in x; cost is O(max(|n|, |x|)),
-    so |x| must be at most _MAX_ARG, as for gbessel_row.
-    """
-    n = _integer(n, "Bessel order")
-    if abs(n) > _MAX_ORDER:
-        raise DomainError(f"|n| <= {_MAX_ORDER} required, got {n}")
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x}")
-    if abs(x) > _MAX_ARG:
-        raise DomainError(f"|x| <= {_MAX_ARG} required, got {x}")
-    if _tail_negligible(abs(n), abs(x)):
-        return 0.0
-    return _jn_lookup(_jn_row(abs(x), abs(n)), np.array([n]), x < 0.0)[0]
+
+def bessel_j_block(ns, xs):
+    """bessel_j(ns[i], xs[i]) of every lane i, bit for bit: 0.0 where
+    _tail_negligible, else from one _jn_rows call with the parity in n and
+    in x.  A lane past _MAX_ORDER or _MAX_ARG is a DomainError naming the
+    first."""
+    ns, xs = _orders(ns), np.asarray(xs, dtype=float)
+    ok = np.abs(xs) <= _MAX_ARG
+    if not ok.all():
+        x = float(xs[np.argmin(ok)])
+        raise DomainError(f"|x| <= {_MAX_ARG} required, got {x}" if math.isfinite(x)
+                          else f"argument must be finite, got {x}")
+    orders, args = np.abs(ns), np.abs(xs)
+    live = np.array([not _tail_negligible(n, x) for n, x in
+                     zip(orders.tolist(), args.tolist())], dtype=bool)
+    rows = _jn_rows(args[live], orders[live], orders[live], orders[live])
+    flip = (orders % 2 == 1) & ((ns < 0) != (xs < 0.0))
+    out = np.zeros(ns.size)
+    out[live] = np.where(flip[live], -rows, rows)
+    return out
+
+
+def bessel_j(n, x):
+    """Ordinary Bessel function J_n(x), integer n, real x, at O(max(|n|,
+    |x|)) cost: the one-lane call of bessel_j_block."""
+    return bessel_j_block([_integer(n, "Bessel order")], [x])[0]
 
 
 def _jn_lookup(row, orders, neg_arg, lo=0):
@@ -375,7 +394,7 @@ class GBesselRow:
 def gbessel_block(n_min, n_max, u, v, delta):
     """J_n(u, v, D) over n_min[i]..n_max[i] of every lane i, lane after
     lane, as one flat complex array; the five arguments are sequences of
-    one length, n_min and n_max of ints.
+    one length, n_min and n_max of ints of |n| <= _MAX_ORDER.
 
     _series_plan checks every lane and sizes its rows as arrays.  The
     ordinary-Bessel rows of all lanes come from one _jn_rows call (the
@@ -383,8 +402,7 @@ def gbessel_block(n_min, n_max, u, v, delta):
     the flat array of rows in one gather; the v != 0 lanes are summed lane
     by lane.
     """
-    n_min = np.asarray(n_min, dtype=np.int64)
-    n_max = np.asarray(n_max, dtype=np.int64)
+    n_min, n_max = _orders(n_min), _orders(n_max)
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     delta = np.asarray(delta, dtype=float)
     k_max, u_cut, u_top, lo, hi = _series_plan(n_min, n_max, u, v, delta)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ChannelClosedError, DomainError, _integer
+from .gbessel import _orders
 from .units import ELECTRON_MASS_EV
 
 # Fixed lab frame: the wave travels along z, polarization axes along x, y.
@@ -243,8 +244,27 @@ class Channel:
     beta2: float
 
 
+class LaneBlock:
+    """Base of a dataclass of channels as columns, one lane per channel in
+    block order: field n a list of ints, each other field an array."""
+
+    def __len__(self):
+        return len(self.n)
+
+    def take(self, lanes):
+        """The block of the lanes of a slice."""
+        return type(self)(*(getattr(self, f.name)[lanes] for f in fields(self)))
+
+    @classmethod
+    def join(cls, blocks):
+        """One block of the lanes of several, block after block."""
+        return cls([n for b in blocks for n in b.n],
+                   *(np.concatenate([getattr(b, f.name) for b in blocks])
+                     for f in fields(cls)[1:]))
+
+
 @dataclass(frozen=True, eq=False)
-class ChannelBlock:
+class ChannelBlock(LaneBlock):
     """The kinematics of a block of open channels as arrays, one lane per
     channel in block order: the fields of Channel, with q_n of shape (N, 3)
     and p_final of shape (N, 4) (time component first).  n is a list of
@@ -263,18 +283,6 @@ class ChannelBlock:
     alpha2: np.ndarray
     theta1: np.ndarray
     beta2: np.ndarray
-
-    def take(self, lanes):
-        """The ChannelBlock of the lanes of a slice."""
-        return ChannelBlock(*(getattr(self, f.name)[lanes] for f in fields(self)))
-
-    @staticmethod
-    def join(blocks):
-        """One ChannelBlock of the lanes of several, block after block."""
-        return ChannelBlock(
-            [n for b in blocks for n in b.n],
-            *(np.concatenate([getattr(b, f.name) for b in blocks])
-              for f in fields(ChannelBlock)[1:]))
 
     def channel(self, i):
         """Lane i as a Channel, its fields Python floats."""
@@ -301,15 +309,17 @@ def open_channels(dressed, ns, rhat, laser):
     Returns (the ChannelBlock of the open channels, in order; the
     ChannelClosedError of the first closed one, or None).  A channel is
     closed when its final quasienergy falls below the effective mass.
-    Every n must be an integer, else a DomainError naming the first that
-    is not.  k.Pi' = omega (Pi0' - Pi'_z) of every open channel must come
-    out finite and > 0, else a DomainError naming the first n where it
-    does not: along KHAT it rounds to 0 at high intensity.  Each lane is
-    computed elementwise, so its bits do not depend on the block around it.
+    Every n must be an integer of |n| <= _MAX_ORDER, else a DomainError
+    naming the first that is not.  k.Pi' = omega (Pi0' - Pi'_z) of every
+    open channel must come out finite and > 0, else a DomainError naming
+    the first n where it does not: along KHAT it rounds to 0 at high
+    intensity.  Each lane is computed elementwise, so its bits do not
+    depend on the block around it.
     """
     ns = list(ns)
     if not all(type(n) is int for n in ns):
         ns = [_integer(n, "photon number") for n in ns]
+    _orders(ns)
     r = _vec(rhat)
     r = r / float(np.linalg.norm(r))
     omega = laser.omega

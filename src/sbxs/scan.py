@@ -4,10 +4,10 @@ An auto envelope first walks the channel kinematics of each side outward
 from n = 0 (no Bessel row built) to where |n| clears the Bessel-support
 margin at its own alpha1(n), then evaluates the center and both sides as
 one block, so it pays one Miller sweep; a side extends only if its tail
-rule is not met there.  All reductions run in a fixed (ascending n / grid)
-order in one thread, so results are bitwise reproducible; individual
-evaluations are pure, and no result depends on how channels are grouped
-into blocks.
+rule is not met there.  An envelope is one XSBlock (a column table); its
+stop rule, trim, peak and total are scans over the columns, in a fixed
+(ascending n / grid) order in one thread, so results are bitwise
+reproducible and no result depends on how channels are grouped into blocks.
 """
 
 import math
@@ -17,16 +17,17 @@ import numpy as np
 
 from .dirac_oracle import xs_oracle
 from .errors import ChannelClosedError, ConvergenceError, DomainError, _integer
-from .gbessel import _MAX_ARG
+from .gbessel import _MAX_ARG, _cbrt, _orders
 from .kinematics import ChannelBlock, LaserField, _unit
 from .potential import PotentialFT
 # Nothing here calls partial_xs_general: bench/run.py reads it from this
 # module (TRACE_TARGETS) until roadmap item 7 drops that tracer.
 from .xsection import (  # noqa: F401
     Scenario,
+    XSBlock,
     partial_xs_general,
     partial_xs_general_block,
-    partial_xs_nonrel,
+    partial_xs_nonrel_block,
 )
 
 TAIL_CUT_DEFAULT = 1.0e-8
@@ -47,25 +48,27 @@ BLOCK_EXTEND = 24
 
 
 def partial(scenario, n):
-    """Single channel under the scenario's formula: the one-channel block."""
-    entries, closed = _block(scenario, [n])
+    """Single channel under the scenario's formula: its one-lane block's."""
+    lanes, closed = _block(scenario, [n])
     if closed is not None:
         raise closed
-    return entries[0]
+    return lanes[0]
 
 
 @dataclass(frozen=True, eq=False)
 class Envelope:
-    """Partial cross sections vs photon number at fixed geometry."""
+    """Partial cross sections vs photon number: an XSBlock in ascending n."""
 
-    entries: tuple
+    entries: XSBlock
     n_peak: int
     alpha1_at_peak: float
     total: float
 
 
 def _margin(alpha1):
-    return alpha1 + MARGIN_FACTOR * (alpha1 ** (1.0 / 3.0) + 1.0)
+    """The Bessel-support margin of each alpha1, its cube root rounded as a
+    float's ** (1/3) (_cbrt), so a lane decides as its floats would."""
+    return alpha1 + MARGIN_FACTOR * (_cbrt(alpha1) + 1.0)
 
 
 def _check_tail_cut(tail_cut):
@@ -75,27 +78,11 @@ def _check_tail_cut(tail_cut):
     return tail_cut
 
 
-def _tail_done(px, vmax, tail_cut):
-    return px.value <= tail_cut * vmax and abs(px.n) > _margin(px.alpha1)
-
-
 def _block(scenario, ns):
-    """Open channels of ns, in order, closed ones skipped.  Returns
-    (entries, the first ChannelClosedError met or None).
-
-    The general formula evaluates the whole block as arrays (one Miller
-    sweep for its Bessel rows); the nonrel reference evaluates one channel
-    at a time.  An error other than a closed channel is the one of the
-    first channel, in block order, that has one.
-    """
-    if scenario.formula != "general":
-        entries, closed = [], None
-        for n in ns:
-            try:
-                entries.append(partial_xs_nonrel(scenario, n))
-            except ChannelClosedError as exc:
-                closed = closed or exc
-        return entries, closed
+    """The XSBlock of the open channels of ns, in order, under the
+    scenario's formula, and the first ChannelClosedError met or None."""
+    if scenario.formula == "nonrel":
+        return partial_xs_nonrel_block(scenario, ns)
     block, closed = scenario.channels(ns)
     return partial_xs_general_block(scenario, block)[0], closed
 
@@ -138,10 +125,10 @@ def _walk(scenario):
                 if past.any():
                     lanes = lanes.take(slice(0, int(np.argmax(past)) + 1))
                     going[side] = False
-                elif len(lanes.n) < size:
+                elif len(lanes) < size:
                     going[side] = more[side] = False
             sides[side].append(lanes)
-            walked[side] += len(lanes.n)
+            walked[side] += len(lanes)
             if going[side]:
                 ns += range(step * (walked[side] + 1),
                             step * (walked[side] + 2 * size + 1), step)
@@ -149,16 +136,13 @@ def _walk(scenario):
     return ChannelBlock.join([center, *sides[0], *sides[1]]), walked[0], more
 
 
-def _outward(scenario, step, first, more):
-    """Entries of channels step, 2*step, ... outward: first, then, while
-    the side may go on, BLOCK_EXTEND channels at a time up to a block that
-    met a closed one."""
-    yield from first
-    n = step * (len(first) + 1)
-    while more:
-        entries, closed = _block(scenario, range(n, n + step * BLOCK_EXTEND, step))
-        yield from entries
-        more, n = closed is None, n + step * BLOCK_EXTEND
+def _stop(side, peak, tail_cut):
+    """The lanes of a side (outward) up to and with the first that meets the
+    stop rule, value <= tail_cut * peak (one peak, or each lane's) and |n| >
+    margin(alpha1), or None when none does."""
+    near = np.flatnonzero(side.value <= tail_cut * peak)
+    far = np.abs(np.take(side.n, near)) > _margin(side.alpha1[near])
+    return int(near[np.argmax(far)]) + 1 if far.any() else None
 
 
 def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
@@ -170,63 +154,62 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
     and evaluates the center and both sides as one block (one Miller
     sweep); the nonrel reference starts both sides empty.  A side extends
     by BLOCK_EXTEND channels at a time while the tail rule is not met.
-    With an explicit (n_min, n_max) range, closed channels inside the range
-    are skipped.  The included set is canonical: it never depends on which
-    side expanded first, nor on how the channels were grouped into blocks.
+    An explicit (n_min, n_max) range, ints of |n| <= _MAX_ORDER, skips its
+    closed channels.  The included set is canonical: it never depends on
+    which side expanded first, nor on how the channels were grouped into
+    blocks.
     """
     _check_tail_cut(tail_cut)
     if n_range is not None:
         n_min = _integer(n_range[0], "n_min")
         n_max = _integer(n_range[1], "n_max")
+        _orders((n_min, n_max))
         if n_min > n_max:
             raise DomainError(f"n_range {n_range} has n_min > n_max")
-        entries, _ = _block(scenario, range(n_min, n_max + 1))
-        if not entries:
+        lanes, _ = _block(scenario, range(n_min, n_max + 1))
+        if not len(lanes):
             raise ChannelClosedError(n_min, "no open channels in range")
-        return _finish_envelope(entries)
+        return _finish(lanes)
 
     if scenario.formula == "general":
         block, plus, more = _walk(scenario)
-        entries = partial_xs_general_block(scenario, block)[0]
-        center, firsts = entries[0], (entries[1:1 + plus], entries[1 + plus:])
+        lanes = partial_xs_general_block(scenario, block)[0]
     else:
-        center, firsts = partial(scenario, 0), ([], [])
-        more = [scenario.laser.a0bar != 0.0] * 2
-    vmax = center.value
-    sides = ([], [])
-    for step, first, go_on, side in zip((1, -1), firsts, more, sides):
-        for px in _outward(scenario, step, first, go_on):
-            side.append(px)
-            vmax = max(vmax, px.value)
-            if _tail_done(px, vmax, tail_cut):
+        lanes, closed = _block(scenario, [0])
+        if closed is not None:
+            raise closed
+        plus, more = 0, [scenario.laser.a0bar != 0.0] * 2
+    # Each side in turn runs to its stop against the running peak, extending
+    # while it has not stopped and met no closed channel.
+    peak, sides = lanes.value[0], []
+    for step, side, go_on in zip((1, -1), (lanes.take(slice(1, 1 + plus)),
+                                           lanes.take(slice(1 + plus, None))),
+                                 more):
+        while True:
+            running = np.maximum.accumulate(np.append(peak, side.value))
+            stop = _stop(side, running[1:], tail_cut)
+            if stop or not go_on:
                 break
+            n = step * (len(side) + 1)
+            ext, closed = _block(scenario, range(n, n + step * BLOCK_EXTEND, step))
+            side, go_on = XSBlock.join([side, ext]), closed is None
+        sides.append(side.take(slice(0, stop)))
+        peak = running[stop or len(side)]
+    # Canonical trim: each side up to its first stop against the final peak,
+    # the peak of the center and of each side up to its stop.
+    plus, minus = (side.take(slice(0, _stop(side, peak, tail_cut)))
+                   for side in sides)
+    return _finish(XSBlock.join([minus.take(slice(None, None, -1)),
+                                 lanes.take(slice(0, 1)), plus]))
 
-    # Canonical trim against the final global peak, the peak of the center
-    # and of each side up to its stop point: keep each side up to the first
-    # channel (scanning outward) satisfying the stop rule.
-    kept = [center]
-    for side in sides:
-        for px in side:
-            kept.append(px)
-            if _tail_done(px, vmax, tail_cut):
-                break
-    return _finish_envelope(kept)
 
-
-def _finish_envelope(entries):
-    entries = sorted(entries, key=lambda px: px.n)
-    total = 0.0
-    peak = entries[0]
-    for px in entries:
-        total += px.value
-        if px.value > peak.value:
-            peak = px
-    return Envelope(
-        entries=tuple(entries),
-        n_peak=peak.n,
-        alpha1_at_peak=peak.alpha1,
-        total=total,
-    )
+def _finish(lanes):
+    """The Envelope of an XSBlock in ascending n: its first peak, and its
+    total summed from 0.0 in order by np.cumsum (np.sum is pairwise)."""
+    i = int(np.argmax(lanes.value))
+    return Envelope(entries=lanes, n_peak=lanes.n[i],
+                    alpha1_at_peak=float(lanes.alpha1[i]),
+                    total=np.cumsum(np.append(0.0, lanes.value))[-1])
 
 
 def total_xs(scenario, tail_cut=TAIL_CUT_DEFAULT):
@@ -331,15 +314,14 @@ def oracle_deviation_sweep(seed, samples):
                 block = ChannelBlock.join([center, block])
             elif closed is not None:
                 continue
-            entries, d = partial_xs_general_block(scenario, block)
+            lanes, d = partial_xs_general_block(scenario, block)
             if floor is None:
-                floor = 1.0e-12 * entries[0].value
+                floor = 1.0e-12 * lanes.value[0]
             if closed is not None:
                 continue
             # the oracle reads the channel's D-functions from this block
-            i = len(entries) - 1
-            general = entries[i].value
-            oracle = xs_oracle(scenario, n, (block.channel(i), d.lane(i)))
+            general = lanes.value[-1]
+            oracle = xs_oracle(scenario, n, (block.channel(-1), d.lane(-1)))
             scale = max(abs(general), abs(oracle))
             if scale <= floor:
                 continue

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ChannelClosedError, DomainError, _integer
-from .gbessel import bessel_j, gbessel_block
+from .gbessel import _orders, bessel_j_block, gbessel_block
 # Nothing here calls gbessel_row: bench/run.py reads it from this module
 # (TRACE_TARGETS and isolated_row) until roadmap item 7 drops that tracer.
 from .gbessel import gbessel_row  # noqa: F401
@@ -37,6 +37,7 @@ from .kinematics import (
     E1,
     E2,
     DressedState,
+    LaneBlock,
     LaserField,
     _frame_rhat,
     _unit,
@@ -152,6 +153,27 @@ class PartialXS:
     q2: float
 
 
+@dataclass(frozen=True, eq=False)
+class XSBlock(LaneBlock):
+    """The PartialXS of a block of channels as columns, in block order: n a
+    list of ints, the others float64 arrays.  block[i] is lane i as a
+    PartialXS (its value and terms np.float64, alpha1 and q2 floats)."""
+
+    n: list
+    value: np.ndarray
+    main_energy: np.ndarray
+    recoil: np.ndarray
+    wave_pressure: np.ndarray
+    alpha1: np.ndarray
+    q2: np.ndarray
+
+    def __getitem__(self, i):
+        return PartialXS(n=self.n[i], value=self.value[i],
+                         terms=XSTerms(self.main_energy[i], self.recoil[i],
+                                       self.wave_pressure[i]),
+                         alpha1=float(self.alpha1[i]), q2=float(self.q2[i]))
+
+
 def _abs2(z):
     """|z|^2 of a complex array, lane by lane."""
     return z.real ** 2 + z.imag ** 2
@@ -197,8 +219,8 @@ def _prefactor_au(scenario, dressed, Pi_n, q2):
 
 
 def partial_xs_general_block(scenario, block):
-    """partial_xs_general of every lane of a ChannelBlock of the scenario,
-    in order, and the lanes' D-functions (a DFunctionsBlock).
+    """The XSBlock of the lanes of a ChannelBlock of the scenario, in order,
+    and the lanes' D-functions (a DFunctionsBlock).
 
     One gbessel_block call reads the Bessel windows of all lanes; the
     D-functions, the three terms and the prefactor are array expressions
@@ -224,12 +246,7 @@ def partial_xs_general_block(scenario, block):
     pref = _prefactor_au(scenario, dressed, block.Pi_n, block.q2)
     terms = (pref * main, pref * recoil, pref * wave)
     values = terms[0] + terms[1] + terms[2]
-    entries = [
-        PartialXS(n=n, value=value, terms=XSTerms(*t), alpha1=a1, q2=q2)
-        for n, value, *t, a1, q2 in zip(block.n, values, *terms,
-                                       block.alpha1.tolist(), block.q2.tolist())
-    ]
-    return entries, d
+    return XSBlock(block.n, values, *terms, block.alpha1, block.q2), d
 
 
 def partial_xs_general(scenario, n):
@@ -262,36 +279,53 @@ def elastic_born(scenario):
     return xs_to_atomic_units(ut**2 / FOUR_PI_SQ * (4.0 * eps**2 - q2))
 
 
-def partial_xs_nonrel(scenario, n):
-    """Dipole-limit reference (Bunkin-Fedorov form) [bohr^2/sr].
+def partial_xs_nonrel_block(scenario, ns):
+    """Dipole-limit reference (Bunkin-Fedorov form) [bohr^2/sr] of the
+    channels ns: (the XSBlock of the open ones, in order; the
+    ChannelClosedError of the first closed one, or None).
 
     Nonrelativistic momenta |p| = sqrt(2 m ek), final kinetic energy
-    ek + n*omega, q = p' - p, and the single Bessel argument
-    a1 = eAbar0 sqrt((q.E1)^2 + zeta^2 (q.E2)^2)/(m omega):
+    ek + n*omega (closed unless > 0), q = p' - p, and the single Bessel
+    argument a1 = eAbar0 sqrt((q.E1)^2 + zeta^2 (q.E2)^2)/(m omega):
 
         dsigma^(n)/dOmega = (|p'|/|p|) J_n(a1)^2 (2 m U~(q)/(4 pi))^2,
 
-    booked whole as the main term of the PartialXS.
+    booked whole as the main term.  Each lane has a one-channel
+    evaluation's bits: q^2 is its own dot product (matmul), a square is
+    pow (np.float_power, as a float's ** 2) and J_n(a1) is bessel_j's.
     """
-    n = _integer(n, "photon number")
+    ns = [_integer(n, "photon number") for n in ns]
+    _orders(ns)
     laser = scenario.laser
     m = ELECTRON_MASS_EV
     ek = scenario.kinetic_energy
-    ekf = ek + n * laser.omega
-    if ekf <= 0.0:
-        raise ChannelClosedError(n, f"nonrelativistic channel n={n} closed")
+    ekf = ek + np.array(ns, dtype=float) * laser.omega
+    shut = ekf <= 0.0
+    closed = None
+    if shut.any():
+        n = ns[int(np.argmax(shut))]
+        closed = ChannelClosedError(n, f"nonrelativistic channel n={n} closed")
+        ns = [n for n, s in zip(ns, shut.tolist()) if not s]
+        ekf = ekf[~shut]
     phat = _unit(scenario.direction, "electron direction")
     p_mag = math.sqrt(2.0 * m * ek)
-    pf_mag = math.sqrt(2.0 * m * ekf)
+    pf_mag = np.sqrt(2.0 * m * ekf)
     rhat = _frame_rhat(phat, scenario.deflection, scenario.azimuth)
-    q = pf_mag * rhat - p_mag * phat
-    q2 = float(np.dot(q, q))
+    q = pf_mag[:, None] * rhat - p_mag * phat
+    q2 = np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]
     a1 = alpha_theta(q, laser)[0] / (m * laser.omega)
 
     ut = u_tilde(scenario.potential, q2)
-    value_nat = (pf_mag / p_mag) * bessel_j(n, a1) ** 2 * (
-        2.0 * m * ut / (4.0 * math.pi)
-    ) ** 2
-    value = xs_to_atomic_units(value_nat)
-    return PartialXS(n=n, value=value, terms=XSTerms(value, 0.0, 0.0),
-                     alpha1=a1, q2=q2)
+    value = xs_to_atomic_units(
+        (pf_mag / p_mag) * np.float_power(bessel_j_block(ns, a1), 2.0)
+        * np.float_power(2.0 * m * ut / (4.0 * math.pi), 2.0))
+    zero = np.zeros(len(ns))
+    return XSBlock(ns, value, value, zero, zero, a1, q2), closed
+
+
+def partial_xs_nonrel(scenario, n):
+    """Dipole-limit reference of one channel: its one-lane block's."""
+    block, closed = partial_xs_nonrel_block(scenario, [n])
+    if closed is not None:
+        raise closed
+    return block[0]

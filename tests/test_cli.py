@@ -643,6 +643,33 @@ def test_gbessel_debug(capsys):
     assert float(lines[2].split()[1]) < 1e-12
 
 
+BEYOND_INT64 = "100000000000000000000"
+
+
+@pytest.mark.parametrize("formula", ["general", "nonrel"])
+@pytest.mark.parametrize("argv, got", [
+    (["gbessel", "--n", BEYOND_INT64, "--u", "1", "--v", "0", "--delta", "0"],
+     BEYOND_INT64),
+    (["partial", "--n", BEYOND_INT64], BEYOND_INT64),
+    (["partial", "--n", "-" + BEYOND_INT64], "-" + BEYOND_INT64),
+    (["envelope", "--n-min", BEYOND_INT64, "--n-max", BEYOND_INT64], BEYOND_INT64),
+    # one block of 1e8 channels would exhaust memory: refused before any lane
+    (["envelope", "--n-min", "-3", "--n-max", "100000000"], "100000000"),
+])
+def test_photon_number_past_max_order_exits_3(tmp_path, capsys, formula, argv,
+                                              got):
+    # gbessel._MAX_ORDER is checked before any int64 array is built
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg["run"]["formula"] = formula
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    if argv[0] != "gbessel":
+        argv = [argv[0], "--config", str(path), *argv[1:]]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == f"domain error: |n| <= 1000000 required, got {got}\n"
+
+
 def test_convergence_error_exit_4(capsys, monkeypatch):
     def fail(*args):
         raise ConvergenceError("quadrature did not converge")

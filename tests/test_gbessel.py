@@ -56,6 +56,14 @@ def test_bessel_j_rejects_nonfinite():
         bessel_j(2, math.inf)
     with pytest.raises(DomainError):
         bessel_j(10**7, 1.0)
+    # an order past int64 is refused by name, not by an int64 overflow
+    for call in (lambda: bessel_j(-10**20, 1.0),
+                 lambda: gbessel_row(0, 10**20, 1.0, 0.0, 0.0),
+                 lambda: gb.gbessel_block([0, -10**20], [0, 0], [1.0, 1.0],
+                                          [0.0, 0.0], [0.0, 0.0])):
+        with pytest.raises(DomainError, match=r"\|n\| <= 1000000 required, got "
+                           r"-?100000000000000000000$"):
+            call()
     # past _MAX_ARG, as in every row (the row would cost O(|x|) steps)
     for x in (math.nextafter(gb._MAX_ARG, math.inf), -1.0e7):
         with pytest.raises(DomainError, match=r"\|x\| <= 100000.0 required"):

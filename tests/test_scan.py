@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from sbxs.scan import (
     total_xs,
 )
 from sbxs.xsection import (
+    PartialXS,
+    XSBlock,
     elastic_born,
     partial_xs_general,
     partial_xs_nonrel,
@@ -82,7 +85,7 @@ def test_envelope_range_bounds_must_be_integers(fig1a):
             envelope(fig1a, n_range=n_range)
     ref = envelope(fig1a, n_range=(1, 3))
     env = envelope(fig1a, n_range=(1.0, np.int64(3)))
-    assert env.entries == ref.entries and env.total == ref.total
+    assert list(env.entries) == list(ref.entries) and env.total == ref.total
 
 
 def test_envelope_explicit_range_skips_closed(pot_fig):
@@ -404,3 +407,183 @@ def test_tail_cut_outside_unit_interval_raises(fig1a, tail_cut):
         total_xs(fig1a, tail_cut=tail_cut)
     [point] = k_sweep(fig1a, [0.2], tail_cut=tail_cut)
     assert math.isnan(point.total) and "tail_cut" in point.error
+
+
+# ---------------------------------------------------------------------------
+# an envelope is one column table: the stop rule and the trim as array scans
+# ---------------------------------------------------------------------------
+
+def _reference_envelope(center, sides, tail_cut):
+    """The record-by-record loop the array scans replace: (kept n in
+    ascending order, n_peak, alpha1_at_peak, total).
+
+    center is (value, alpha1) at n = 0; sides[0] and sides[1] are the + and
+    - sides, each a list of (value, alpha1) outward from |n| = 1.  A side
+    runs until its first channel with value <= tail_cut * the running peak
+    and |n| > margin(alpha1), or to its end; the trim then keeps each side
+    up to its first channel that meets the rule against the final peak.
+    """
+    def tail_done(n, value, alpha1, vmax):
+        margin = alpha1 + scan.MARGIN_FACTOR * (alpha1 ** (1.0 / 3.0) + 1.0)
+        return value <= tail_cut * vmax and abs(n) > margin
+
+    vmax = center[0]
+    walked = ([], [])
+    for step, side, out in zip((1, -1), sides, walked):
+        for i, (value, alpha1) in enumerate(side):
+            out.append((step * (i + 1), value, alpha1))
+            vmax = max(vmax, value)
+            if tail_done(step * (i + 1), value, alpha1, vmax):
+                break
+    kept = [(0, *center)]
+    for side in walked:
+        for lane in side:
+            kept.append(lane)
+            if tail_done(*lane, vmax):
+                break
+    kept.sort()
+    total, peak = 0.0, kept[0]
+    for lane in kept:
+        total += lane[1]
+        if lane[1] > peak[1]:
+            peak = lane
+    return [lane[0] for lane in kept], peak[0], peak[2], total
+
+
+def _xs_lanes(ns, lanes):
+    """An XSBlock of channels ns with the (value, alpha1) of lanes."""
+    values = np.array([v for v, _ in lanes], dtype=float)
+    return XSBlock(list(ns), values, values, np.zeros(len(ns)),
+                   np.zeros(len(ns)), np.array([a for _, a in lanes], dtype=float),
+                   np.zeros(len(ns)))
+
+
+def _margin_root(n):
+    """The alpha1 whose float margin(alpha1) lies nearest to n > 0."""
+    lo, hi = 0.0, float(n)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid + 10.0 * (mid ** (1.0 / 3.0) + 1.0) < n:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+MARGIN_ROOTS = [_margin_root(n) for n in range(1, 41)]
+
+
+@st.composite
+def _stop_rule_case(draw):
+    """(center, sides, tail_cut, first lanes per side): values that tie the
+    running peak or sit exactly on (or an ulp off) tail_cut * a peak, and
+    alpha1 whose margin lies within an ulp of |n|."""
+    tail_cut = draw(st.sampled_from([0.25, 0.5, 1.0e-8]))
+    peak = draw(st.sampled_from([1.0, 3.0, 0.1]))
+    at_cut = tail_cut * peak
+    values = st.one_of(
+        st.sampled_from([peak, 2.0 * peak, at_cut, tail_cut * 2.0 * peak,
+                         math.nextafter(at_cut, 0.0), math.nextafter(at_cut, 1.0),
+                         0.0, 0.5 * peak]),
+        st.floats(0.0, 4.0 * peak))
+
+    def side(step):
+        lanes = []
+        for i in range(draw(st.integers(0, 40))):
+            n = step * (i + 1)
+            root = MARGIN_ROOTS[i]
+            alpha1 = draw(st.sampled_from([
+                0.0, root, math.nextafter(root, 0.0),
+                math.nextafter(root, math.inf), 10.0 * abs(n)]))
+            lanes.append((draw(values), alpha1))
+        return lanes
+
+    sides = (side(1), side(-1))
+    firsts = tuple(draw(st.integers(0, len(s))) for s in sides)
+    return (draw(values), 0.0), sides, tail_cut, firsts
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_stop_rule_case())
+def test_stop_rule_scan_equals_the_record_loop(case):
+    # the array scans keep the loop's channels, peak and total bit for bit,
+    # also where a side must extend past its first block
+    center, sides, tail_cut, firsts = case
+
+    def extension(scenario, ns):
+        ns = list(ns)
+        side = sides[0] if ns[0] > 0 else sides[1]
+        have = [n for n in ns if abs(n) <= len(side)]
+        closed = None if len(have) == len(ns) else ChannelClosedError(ns[len(have)])
+        return _xs_lanes(have, [side[abs(n) - 1] for n in have]), closed
+
+    plus = [i + 1 for i in range(firsts[0])]
+    minus = [-(i + 1) for i in range(firsts[1])]
+    first = _xs_lanes([0, *plus, *minus], [center, *sides[0][:firsts[0]],
+                                           *sides[1][:firsts[1]]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "BLOCK_EXTEND", 3)
+        mp.setattr(scan, "_walk", lambda s: (None, len(plus), [True, True]))
+        mp.setattr(scan, "partial_xs_general_block", lambda s, b: (first, None))
+        mp.setattr(scan, "_block", extension)
+        env = envelope(SimpleNamespace(formula="general"), tail_cut=tail_cut)
+    ns, n_peak, alpha1_at_peak, total = _reference_envelope(center, sides,
+                                                            tail_cut)
+    assert env.entries.n == ns
+    assert (env.n_peak, env.alpha1_at_peak) == (n_peak, alpha1_at_peak)
+    assert float.hex(float(env.total)) == float.hex(total)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(values=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-300]),
+                       min_size=1, max_size=300))
+def test_envelope_total_and_peak_are_the_ordered_loop(values):
+    # np.cumsum from 0.0 is `total += value`; np.argmax is the strict > loop
+    env = scan._finish(_xs_lanes(range(len(values)), [(v, 0.0) for v in values]))
+    total, peak = 0.0, 0
+    for i, v in enumerate(values):
+        total += v
+        if v > values[peak]:
+            peak = i
+    assert float.hex(float(env.total)) == float.hex(total)
+    assert env.n_peak == peak
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """Counts the PartialXS built."""
+    built = []
+    real = PartialXS.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(PartialXS, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("formula", ["general", "nonrel"])
+def test_auto_envelope_builds_no_records(pot_fig, k_fig, records, formula):
+    env = envelope(make_scenario(pot_fig, K=k_fig, zeta=1.0, formula=formula))
+    assert len(env.entries) > 20 and not records
+    env.entries[3]             # the lane view is where a record is built
+    assert len(records) == 1
+
+
+def test_k_sweep_builds_no_records(fig1a, records):
+    k_sweep(fig1a, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    assert not records
+
+
+@pytest.mark.parametrize("formula", ["general", "nonrel"])
+def test_lane_view_is_the_partial(pot_fig, k_fig, formula):
+    # types included: the value and terms np.float64, alpha1 and q2 floats
+    s = make_scenario(pot_fig, K=k_fig, zeta=0.5, direction=(0.3, -0.2, 1.0),
+                      deflection_mrad=6.0, formula=formula)
+    env = envelope(s)
+    for i in range(0, len(env.entries), 7):
+        px = env.entries[i]
+        assert px == partial(s, px.n)
+        assert _typed_bits(px) == _typed_bits(partial(s, px.n)), px.n
+        assert type(px.value) is np.float64 and type(px.alpha1) is float
+    assert [px.n for px in env.entries] == env.entries.n
