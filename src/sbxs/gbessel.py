@@ -284,17 +284,6 @@ def bessel_j(n, x):
     return bessel_j_block([_integer(n, "Bessel order")], [x])[0]
 
 
-def _jn_lookup(row, orders, neg_arg, lo=0):
-    """Lookup in a row starting at order lo, with parity in order and
-    (optionally) in argument."""
-    a = np.abs(orders)
-    vals = row[a - lo]
-    sign = np.where(orders < 0, np.where(a % 2 == 1, -1.0, 1.0), 1.0)
-    if neg_arg:
-        sign = np.where(orders % 2 != 0, -sign, sign)
-    return vals * sign
-
-
 def _cut(a):
     """Truncation bound ceil(a + 8 (a^(1/3) + 1) + 12) of each |argument| a:
     the k window of J_k(|v|), the order cut of J_m(|u|)."""
@@ -340,43 +329,6 @@ def _series_plan(n_min, n_max, u, v, delta):
     return k_max, u_cut, u_top, lo, hi
 
 
-def _series(orders, u, v, delta, k_max, u_cut, row_u, lo, row_v):
-    """Series evaluation of J_n(u, v, D), v != 0, over integer orders, from
-    the J_m(|u|) row (orders lo and up) and the J_k(|v|) row."""
-    out = np.zeros(orders.shape, dtype=complex)
-    for i, n in enumerate(orders):
-        n = int(n)
-        k_lo = max(-k_max, int(math.ceil((n - u_cut) / 2.0)))
-        k_hi = min(k_max, int(math.floor((n + u_cut) / 2.0)))
-        if k_lo > k_hi:
-            continue                     # beyond the support, value < 1e-16
-        ks = np.arange(k_lo, k_hi + 1)
-        ju = _jn_lookup(row_u, n - 2 * ks, u < 0.0, lo)
-        jv = _jn_lookup(row_v, ks, v < 0.0)
-        out[i] = np.sum(np.exp(-2.0j * delta * ks) * ju * jv)
-    return out
-
-
-def _v0_gather(flat, bases, n_min, widths, u, u_cut, lo):
-    """J_n(u, 0, D) of every order of several lanes, lane after lane, read
-    in one gather from their J_m(|u|) rows (orders lo and up), which start
-    at bases in the flat array of rows.
-
-    J_k(0) = [k == 0], so only the k = 0 term of the series is left: J_n(u)
-    inside the support |n| <= u_cut and 0 beyond it.  "+ 0.0" turns -0.0
-    into the +0.0 that the summed k window gives.
-    """
-    lane = np.repeat(np.arange(widths.size), widths)
-    orders = np.arange(widths.sum()) - _offsets(widths)[lane] + n_min[lane]
-    a = np.abs(orders)
-    inside = a <= u_cut[lane]
-    at = np.where(inside, bases[lane] + a - lo[lane], 0)
-    sign = np.where((orders < 0) & (a % 2 == 1), -1.0, 1.0)
-    sign = np.where((u < 0.0)[lane] & (orders % 2 != 0), -sign, sign)
-    values = flat[at] * sign + 0.0
-    return np.where(inside, values, 0.0)
-
-
 @dataclass(frozen=True)
 class GBesselRow:
     """Contiguous run of J_n(u, v, D) values over n_min..n_max."""
@@ -391,6 +343,14 @@ class GBesselRow:
         return self.values[n - self.n_min]
 
 
+def _signed(flat, at, m, neg_arg):
+    """J_m(x) of an array of integer orders m, read from the J_|m|(|x|)
+    at flat[at + |m|]: times -1.0 where m is odd and m < 0 differs from
+    x < 0 (neg_arg)."""
+    return flat[at + np.abs(m)] * np.where((m % 2 != 0) & ((m < 0) != neg_arg),
+                                           -1.0, 1.0)
+
+
 def gbessel_block(n_min, n_max, u, v, delta):
     """J_n(u, v, D) over n_min[i]..n_max[i] of every lane i, lane after
     lane, as one flat complex array; the five arguments are sequences of
@@ -398,38 +358,54 @@ def gbessel_block(n_min, n_max, u, v, delta):
 
     _series_plan checks every lane and sizes its rows as arrays.  The
     ordinary-Bessel rows of all lanes come from one _jn_rows call (the
-    J_k(|v|) row is skipped when v = 0).  The v = 0 lanes are read from
-    the flat array of rows in one gather; the v != 0 lanes are summed lane
-    by lane.
+    J_k(|v|) row is skipped when v = 0).  Each (lane, order n) pair sums
+    the series over its k window, -k_max..k_max clipped to |n - 2k| <=
+    u_cut, with k_max = 0 when v = 0 (J_k(0) = [k == 0], so the J_k factor
+    is 1.0); a pair with an empty window is 0.  The pairs of one window
+    length are summed together, in chunks of at most _SWEEP_CHUNK values,
+    by np.sum over the rows of a (pairs, length) array: each row by the
+    pairwise tree of np.sum over that one window.
     """
     n_min, n_max = _orders(n_min), _orders(n_max)
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     delta = np.asarray(delta, dtype=float)
     k_max, u_cut, u_top, lo, hi = _series_plan(n_min, n_max, u, v, delta)
-    sums = np.flatnonzero(v != 0.0)
+    has_v = v != 0.0                   # J_k(0) = [k == 0]: no J_k row
+    sums = np.flatnonzero(has_v)
     # rows: J_m(|u|) of every lane, then J_k(|v|) of the v != 0 lanes
     rows_lo = np.concatenate((lo, np.zeros(sums.size, dtype=np.int64)))
     rows_hi = np.concatenate((hi, k_max[sums]))
     flat = _jn_rows(np.concatenate((np.abs(u), np.abs(v[sums]))),
                     np.concatenate((u_top, k_max[sums])), rows_lo, rows_hi)
     bases = _offsets(rows_hi - rows_lo + 1)
-    base_u, base_v = bases[:u.size], bases[u.size:]
+    at_u = bases[:u.size] - lo         # J_m(|u|) of lane i at flat[at_u[i] + m]
+    at_v = np.zeros(u.size, dtype=np.int64)
+    at_v[sums] = bases[u.size:]        # J_k(|v|) of lane i at flat[at_v[i] + k]
+    k_max = np.where(has_v, k_max, 0)
+    # the pairs, lane after lane: each one's lane, order n and k window
     widths = n_max - n_min + 1
-    gather = v == 0.0
-    if gather.all():
-        return _v0_gather(flat, base_u, n_min, widths, u, u_cut, lo).astype(complex)
-    starts = _offsets(widths)
-    out = np.zeros(widths.sum(), dtype=complex)
-    if gather.any():
-        out[_slots(starts[gather], widths[gather])] = _v0_gather(
-            flat, base_u[gather], n_min[gather], widths[gather], u[gather],
-            u_cut[gather], lo[gather])
-    for r, i in enumerate(sums.tolist()):
-        out[starts[i]:starts[i] + widths[i]] = _series(
-            np.arange(n_min[i], n_max[i] + 1), float(u[i]), float(v[i]),
-            float(delta[i]), int(k_max[i]), int(u_cut[i]),
-            flat[base_u[i]:base_u[i] + hi[i] - lo[i] + 1], int(lo[i]),
-            flat[base_v[r]:base_v[r] + k_max[i] + 1])
+    lane = np.repeat(np.arange(u.size), widths)
+    n = np.arange(lane.size) - np.repeat(_offsets(widths) - n_min, widths)
+    k_lo = np.maximum(-k_max[lane], -((u_cut[lane] - n) // 2))
+    length = np.maximum(np.minimum(k_max[lane], (n + u_cut[lane]) // 2) - k_lo + 1, 0)
+    out = np.zeros(lane.size, dtype=complex)
+    by_length = np.argsort(length, kind="stable")
+    counts = np.bincount(length)
+    ends = np.cumsum(counts).tolist()
+    for size in (np.flatnonzero(counts[1:]) + 1).tolist():
+        step = max(1, _SWEEP_CHUNK // size)
+        for first in range(ends[size - 1], ends[size], step):
+            pairs = by_length[first:min(first + step, ends[size])]
+            i = lane[pairs][:, None]
+            ks = k_lo[pairs][:, None] + np.arange(size)
+            ju = _signed(flat, at_u[i], n[pairs][:, None] - 2 * ks, u[i] < 0.0)
+            jv = np.where(has_v[i], _signed(flat, at_v[i], ks, v[i] < 0.0), 1.0)
+            # exp(-2ikD) * J_{n-2k} * J_k in that order, in place (few temporaries)
+            terms = -2.0j * delta[i] * ks
+            np.exp(terms, out=terms)
+            terms *= ju
+            terms *= jv
+            out[pairs] = np.sum(terms, axis=1)
     return out
 
 
@@ -442,7 +418,8 @@ def gbessel_row(n_min, n_max, u, v, delta):
 
 
 def gbessel(n, u, v, delta):
-    """Generalized Bessel function J_n(u, v, D) via the truncated series."""
+    """Generalized Bessel function J_n(u, v, D): the one-order call of
+    gbessel_block, the series summed over the k window of n."""
     return complex(gbessel_row(n, n, u, v, delta).values[0])
 
 

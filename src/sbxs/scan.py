@@ -4,10 +4,12 @@ An auto envelope first walks the channel kinematics of each side outward
 from n = 0 (no Bessel row built) to where |n| clears the Bessel-support
 margin at its own alpha1(n), then evaluates the center and both sides as
 one block, so it pays one Miller sweep; a side extends only if its tail
-rule is not met there.  An envelope is one XSBlock (a column table); its
-stop rule, trim, peak and total are scans over the columns, in a fixed
-(ascending n / grid) order in one thread, so results are bitwise
-reproducible and no result depends on how channels are grouped into blocks.
+rule is not met there, by blocks that double in size, so a side that needs
+k * BLOCK_EXTEND more channels pays about log2(k) more sweeps.  An envelope
+is one XSBlock (a column table); its stop rule, trim, peak and total are
+scans over the columns, in a fixed (ascending n / grid) order in one
+thread, so results are bitwise reproducible and no result depends on how
+channels are grouped into blocks.
 """
 
 import math
@@ -41,9 +43,9 @@ MARGIN_FACTOR = 10.0
 # and 4 did not, for about 4 % more CPU on the fig1a intensity sweep.
 WALK_SLACK = 8.0
 
-# Channels per side in each block that extends the auto range past its
-# walk, and in the walk's first step (each further step opens twice as
-# many).
+# Channels per side in the first block that extends the auto range past
+# its walk, and in the walk's first step (each further block or step opens
+# twice as many).
 BLOCK_EXTEND = 24
 
 
@@ -152,8 +154,9 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
     The auto range of the general formula walks each side's kinematics out
     to margin(alpha1(n)) plus WALK_SLACK, or to its first closed channel,
     and evaluates the center and both sides as one block (one Miller
-    sweep); the nonrel reference starts both sides empty.  A side extends
-    by BLOCK_EXTEND channels at a time while the tail rule is not met.
+    sweep); the nonrel reference starts both sides empty.  While a side's
+    tail rule is not met it extends, by BLOCK_EXTEND channels the first
+    time and twice as many each time after.
     An explicit (n_min, n_max) range, ints of |n| <= _MAX_ORDER, skips its
     closed channels.  The included set is canonical: it never depends on
     which side expanded first, nor on how the channels were grouped into
@@ -180,19 +183,22 @@ def envelope(scenario, n_range=None, tail_cut=TAIL_CUT_DEFAULT):
             raise closed
         plus, more = 0, [scenario.laser.a0bar != 0.0] * 2
     # Each side in turn runs to its stop against the running peak, extending
-    # while it has not stopped and met no closed channel.
+    # while it has not stopped and met no closed channel, by BLOCK_EXTEND
+    # channels and then twice as many each time.
     peak, sides = lanes.value[0], []
     for step, side, go_on in zip((1, -1), (lanes.take(slice(1, 1 + plus)),
                                            lanes.take(slice(1 + plus, None))),
                                  more):
+        size = BLOCK_EXTEND
         while True:
             running = np.maximum.accumulate(np.append(peak, side.value))
             stop = _stop(side, running[1:], tail_cut)
             if stop or not go_on:
                 break
             n = step * (len(side) + 1)
-            ext, closed = _block(scenario, range(n, n + step * BLOCK_EXTEND, step))
+            ext, closed = _block(scenario, range(n, n + step * size, step))
             side, go_on = XSBlock.join([side, ext]), closed is None
+            size *= 2
         sides.append(side.take(slice(0, stop)))
         peak = running[stop or len(side)]
     # Canonical trim: each side up to its first stop against the final peak,

@@ -5,6 +5,9 @@ They are special cases of the general formula, rearranged through the
 ordinary J_n(a1) and J_n' (circular) or the real two-argument J_n(u, v)
 (linear), and no production path calls them.  Criterion 4, test_scan,
 test_xsection and bits_digest.py compare them with the general path.
+
+series_block is the reference of gbessel.gbessel_block: the series of
+J_n(u, v, D) summed order by order in a Python loop, v = 0 included.
 """
 
 import math
@@ -12,13 +15,55 @@ import math
 import numpy as np
 
 from sbxs.errors import DomainError
-from sbxs.gbessel import gbessel_row
+from sbxs.gbessel import _jn_row, _series_plan, gbessel_row
 from sbxs.xsection import PartialXS, XSTerms, _prefactor_au
 
 # Below this |v| the linear closed form refuses (its 1/v factors are
 # removable singularities of the recurrence rearrangement); the general
 # path is authoritative there.
 V_FLOOR = 1.0e-6
+
+
+def _jn_lookup(row, orders, neg_arg, lo=0):
+    """Lookup in a row starting at order lo, with parity in order and
+    (optionally) in argument."""
+    a = np.abs(orders)
+    vals = row[a - lo]
+    sign = np.where(orders < 0, np.where(a % 2 == 1, -1.0, 1.0), 1.0)
+    if neg_arg:
+        sign = np.where(orders % 2 != 0, -sign, sign)
+    return vals * sign
+
+
+def _series(orders, u, v, delta, k_max, u_cut, row_u, lo, row_v):
+    """Series evaluation of J_n(u, v, D) over integer orders, from the
+    J_m(|u|) row (orders lo and up) and the J_k(|v|) row."""
+    out = np.zeros(orders.shape, dtype=complex)
+    for i, n in enumerate(orders):
+        n = int(n)
+        k_lo = max(-k_max, int(math.ceil((n - u_cut) / 2.0)))
+        k_hi = min(k_max, int(math.floor((n + u_cut) / 2.0)))
+        if k_lo > k_hi:
+            continue                     # beyond the support, value < 1e-16
+        ks = np.arange(k_lo, k_hi + 1)
+        ju = _jn_lookup(row_u, n - 2 * ks, u < 0.0, lo)
+        jv = _jn_lookup(row_v, ks, v < 0.0)
+        out[i] = np.sum(np.exp(-2.0j * delta * ks) * ju * jv)
+    return out
+
+
+def series_block(n_min, n_max, u, v, delta):
+    """gbessel_block's J_n(u, v, D) of every lane, lane after lane, by
+    _series on _jn_row rows: the whole J_m(|u|) row up to gbessel's top
+    order (which sets its bits) and the whole J_k(|v|) row, J_k(0) = [k ==
+    0] when v = 0, so a v = 0 order sums its full k window."""
+    lanes = [np.asarray(a) for a in (n_min, n_max, u, v, delta)]
+    k_max, u_cut, u_top, _, _ = _series_plan(*lanes)
+    return np.concatenate([np.zeros(0, dtype=complex)] + [
+        _series(np.arange(n0, n1 + 1), a, b, d, km, uc, _jn_row(abs(a), top), 0,
+                _jn_row(abs(b), km))
+        for n0, n1, a, b, d, km, uc, top in zip(
+            *(x.tolist() for x in (*lanes, k_max, u_cut, u_top)))])
 
 
 class LinearPathUnstableError(RuntimeError):

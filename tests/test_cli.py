@@ -480,20 +480,33 @@ def test_tabulated_potential_matches_closed_form(tmp_path, capsys):
 _SCIPY_GUARD = """
 import contextlib, io, sys
 from sbxs.cli import main
+table, oblique = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["total", "--config", "demos/fig1a.json"]) == 0
-assert "scipy" not in sys.modules, "scipy loaded by a screened-Coulomb run"
+    assert main(["envelope", "--config", oblique]) == 0
+    assert main(["verify", "--samples", "5"]) == 0
+for heavy in ("scipy", "numpy.ma"):
+    assert heavy not in sys.modules, heavy + " loaded by a screened-Coulomb run"
 from sbxs.potential import PotentialFT
-PotentialFT.from_table(sys.argv[1])
+PotentialFT.from_table(table)
 """
 
 
 def test_screened_coulomb_run_leaves_scipy_unloaded(tmp_path):
-    """scipy is imported only when a table is read (it costs ~0.75 s)."""
+    """scipy is imported only when a table is read (it costs ~0.75 s), and
+    numpy.ma (which np.unique imports, ~2 MB of RSS) by no run: a fig1a
+    total, a zeta < 1 envelope and verify."""
     table = write_screened_table(tmp_path / "screened.tab")
+    cfg = json.loads(json.dumps(FIG1A))
+    cfg["laser"]["zeta"] = 0.3
+    cfg["electron"]["direction"] = [0.3, -0.2, 0.9]
+    cfg["geometry"]["deflection_mrad"] = 6.0
+    oblique = tmp_path / "oblique.json"
+    oblique.write_text(json.dumps(cfg))
     root = HERE.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(table)],
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(table),
+                           str(oblique)],
                           cwd=root, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

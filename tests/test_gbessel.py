@@ -1,10 +1,13 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sbxs.gbessel as gb
+from closed_forms import series_block
 from sbxs.errors import ConvergenceError, DomainError
 from sbxs.gbessel import bessel_j, gbessel, gbessel_quad, gbessel_row
 from sbxs.scan import MARGIN_FACTOR
@@ -537,3 +540,44 @@ def test_v0_shortcut_equals_k_window_sum():
                                      * lookup(row_v, ks, False))
             got = gbessel_row(n_lo, n_hi, u, v, delta).values
             assert _bits(got) == _bits(want), (u, v, delta)
+
+
+# u = -20 and 20 cut J_m(|u|) at u_cut = 62, |v| = 2.5 at k_max = 34.  Lane
+# by lane: J_n(0, 0, D); v = -0.0 across n = u_cut; windows clipped on the
+# low side only (n = 6..10 reads k = ceil((n - 62) / 2)..34) and on the high
+# side only (n = -10..-6); v != 0 across the end of the support, n = u_cut +
+# 2 k_max = 130; arguments below _TINY_ARG.
+EDGE_BLOCK = [(-3, 3, 0.0, 0.0, 0.0), (58, 66, 20.0, -0.0, -0.4),
+              (6, 10, -20.0, 2.5, -1.1), (-10, -6, 20.0, -2.5, 0.3),
+              (128, 134, -20.0, 2.5, 0.3), (-2, 2, 3.0e-7, -1.0e-7, 0.5)]
+
+
+@st.composite
+def _mixed_block(draw):
+    """A block of lanes (n_min, n_max, u, v, delta) with signed zeros,
+    negative arguments and orders out past the support."""
+    lanes = []
+    for _ in range(draw(st.integers(1, 30))):
+        u = draw(st.one_of(st.sampled_from([0.0, -0.0, 3.0e-7, -12.5]),
+                           st.floats(-80.0, 80.0)))
+        v = draw(st.one_of(st.sampled_from([0.0, -0.0, -1.0e-7]),
+                           st.floats(-20.0, 20.0)))
+        delta = draw(st.one_of(st.sampled_from([0.0, -0.0]),
+                               st.floats(-math.pi, math.pi)))
+        reach = _scalar_cut(abs(u)) + 2 * _scalar_cut(abs(v)) + 4
+        n_min = draw(st.integers(-reach, reach))
+        lanes.append((n_min, n_min + draw(st.integers(0, 6)), u, v, delta))
+    return lanes
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(lanes=_mixed_block(), chunk=st.sampled_from([gb._SWEEP_CHUNK, 7, 1]))
+@example(lanes=EDGE_BLOCK, chunk=gb._SWEEP_CHUNK)
+@example(lanes=EDGE_BLOCK * 4, chunk=5)
+def test_gbessel_block_is_the_per_order_series(lanes, chunk):
+    # the windowed sums, grouped by length and chunked, give every order
+    # the bits of its own np.sum over its k window; a v = 0 order sums its
+    # 41-term window against the J_k(0) row in the reference
+    with mock.patch.object(gb, "_SWEEP_CHUNK", chunk):
+        got = gb.gbessel_block(*zip(*lanes))
+    assert _bits(got) == _bits(series_block(*zip(*lanes))), lanes

@@ -18,6 +18,7 @@ from sbxs.scan import (
     k_sweep,
     oracle_deviation_sweep,
     partial,
+    random_scenarios,
     total_xs,
 )
 from sbxs.xsection import (
@@ -350,6 +351,17 @@ def test_fig1a_k_sweep_sweeps_once_per_first_block(fig1a, sweeps):
     # first block and the extension blocks of each side made 11)
     k_sweep(fig1a, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     assert sweeps == {"batched": 9, "scalar": 0}
+
+
+def test_extension_blocks_double(sweeps):
+    # K = 0.8, zeta = 0.5, 6 mrad, -z: each side's walk stops at
+    # margin(alpha1), far inside the support of J_n(u, v, D); the + side
+    # then extends by 24, 48, .. 768 channels and the - side by 24 .. 384
+    # (11 sweeps), where blocks of a fixed BLOCK_EXTEND ran 57
+    env = envelope(random_scenarios(11, 40)[21])
+    assert (env.entries.n[0], env.entries.n[-1], len(env.entries)) == \
+        (-681, 1073, 1755)
+    assert sweeps["scalar"] == 0 and sweeps["batched"] <= 12
 
 
 def test_envelope_table_range_error_comes_from_the_first_block(tmp_path, fig1a):
